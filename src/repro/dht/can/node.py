@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.dht.base import DHTNode
-from repro.dht.can.space import Point, Zone
+from repro.dht.can.space import Point, Zone, zone_distance
 
 
 class NeighborSet:
@@ -72,13 +72,19 @@ class CANNode(DHTNode):
         return self.zones[0]
 
     def owns_point(self, point: Point) -> bool:
-        return any(z.contains(point) for z in self.zones)
+        for z in self.zones:
+            if z.contains(point):
+                return True
+        return False
 
     def total_volume(self) -> float:
         return sum(z.volume() for z in self.zones)
 
     def distance_to(self, point: Point) -> float:
         """Squared distance from ``point`` to the nearest owned zone."""
-        from repro.dht.can.space import zone_distance
-
-        return min(zone_distance(z, point) for z in self.zones)
+        best = float("inf")
+        for z in self.zones:
+            d = zone_distance(z, point)
+            if d < best:
+                best = d
+        return best

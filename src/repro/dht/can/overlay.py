@@ -20,6 +20,9 @@ from repro.dht.can.node import CANNode, NeighborSet
 from repro.dht.can.space import Point, Zone, unit_zone
 
 
+_INF = float("inf")
+
+
 class _BSPNode:
     """One node of the split-history BSP index.
 
@@ -62,8 +65,7 @@ class CANOverlay(DHTOverlay):
 
     def join(self, node: CANNode, bootstrap: CANNode | None = None) -> None:
         """Admit ``node``: route to its point's zone and split it."""
-        if len(node.point) != self.dims:
-            raise ValueError(f"point has {len(node.point)} dims, overlay has {self.dims}")
+        self._check_dims(node.point)
         if node.node_id in self.nodes:
             raise ValueError(f"duplicate node id {node.node_id:#x}")
         self.nodes[node.node_id] = node
@@ -127,17 +129,14 @@ class CANOverlay(DHTOverlay):
     # ------------------------------------------------------------------
 
     def route(self, key, start: CANNode | None = None) -> RouteResult:
-        """Route to the owner of ``key`` (a Point)."""
-        result = self._route(key, start, record=True)
-        return result
-
-    def _route(self, point: Point, start: CANNode | None, record: bool) -> RouteResult:
+        """Route greedily to the owner of ``key`` (a Point)."""
+        point: Point = key
+        self._check_dims(point)
         if start is None or not start.alive:
             start = self._random_live()
         if start is None:
             result = RouteResult(False, None, 0)
-            if record:
-                self.note_route(result)
+            self.note_route(result)
             return result
         cur = start
         hops = 0
@@ -145,56 +144,71 @@ class CANOverlay(DHTOverlay):
         success = True
         max_hops = 8 * (len(self._live) + 4)
         visited = {cur.node_id}
-        while not cur.owns_point(point):
-            # A neighbor that *owns* the point wins outright.  This also
-            # resolves exact-boundary targets: with discrete capability
-            # levels a point can lie on a shared (closed) zone face, where
-            # several zones are at distance 0 but only one owns it under
-            # the half-open convention.
-            owner_nb = None
-            for nb in cur.neighbors:
-                if nb.alive and nb.owns_point(point):
-                    owner_nb = nb
-                    break
-            if owner_nb is not None:
-                cur = owner_nb
-                hops += 1
-                path.append(cur.node_id)
-                break
-            # Greedy: step to the neighbor closest to the target.  The zone
-            # across the exit face is strictly closer except on distance
-            # plateaus (target collinear with a face), where we allow
-            # equal-distance moves to unvisited zones.
-            cur_d = cur.distance_to(point)
-            best = None
+        arrived = cur.owns_point(point)
+        cur_d = cur.distance_to(point)
+        while not arrived:
+            # One pass over the neighbors with the squared distance to each
+            # closed zone box inlined.  Only a zone at distance 0 can
+            # contain the point, so the half-open ownership test runs on
+            # those alone, and the first owning neighbor wins outright over
+            # any non-owner.  That resolves exact-boundary targets: with
+            # discrete capability levels a point can lie on a shared
+            # (closed) zone face, where several zones are at distance 0 but
+            # only one owns it.
+            best = plateau = None
             best_d = cur_d
-            plateau = None
             for nb in cur.neighbors:
                 if not nb.alive:
                     continue
-                d = nb.distance_to(point)
+                d = _INF
+                for z in nb.zones:
+                    s = 0.0
+                    for c, lo, hi in zip(point, z.lo, z.hi):
+                        if c < lo:
+                            gap = lo - c
+                        elif c > hi:
+                            gap = c - hi
+                        else:
+                            continue
+                        s += gap * gap
+                    if s == 0.0:
+                        if z.contains(point):
+                            arrived = True
+                            break
+                        d = 0.0
+                    elif s < d:
+                        d = s
+                if arrived:
+                    best = nb
+                    break
+                # Greedy: the zone across the exit face is strictly closer
+                # except on distance plateaus (target collinear with a
+                # face), where the first equal-distance unvisited neighbor
+                # is the fallback.
                 if d < best_d:
                     best, best_d = nb, d
                 elif d == cur_d and plateau is None and nb.node_id not in visited:
                     plateau = nb
-            nxt = best if best is not None else plateau
-            if nxt is None:
+            if best is not None:
+                cur, cur_d = best, best_d  # the next hop's own distance
+            elif plateau is not None:
+                cur = plateau  # same distance by definition
+            else:
                 success = False
                 break
-            cur = nxt
             visited.add(cur.node_id)
             hops += 1
             path.append(cur.node_id)
-            if hops > max_hops:
+            if hops > max_hops and not arrived:
                 success = False
                 break
         result = RouteResult(success, cur if success else None, hops, path)
-        if record:
-            self.note_route(result)
+        self.note_route(result)
         return result
 
     def zone_owner(self, point: Point) -> CANNode | None:
         """Oracle ownership via the split-history index (O(tree depth))."""
+        self._check_dims(point)
         if not self._live:
             return None
         leaf = self._bsp_leaf(point)
@@ -232,6 +246,10 @@ class CANOverlay(DHTOverlay):
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+
+    def _check_dims(self, point: Point) -> None:
+        if len(point) != self.dims:
+            raise ValueError(f"point has {len(point)} dims, overlay has {self.dims}")
 
     def _random_live(self) -> CANNode | None:
         if not self._live:
@@ -291,15 +309,15 @@ class CANOverlay(DHTOverlay):
     def _takeover(self, dead: CANNode) -> None:
         """Assign each of the dead node's zones to its smallest live
         neighbor that abuts that zone (CAN's takeover rule)."""
-        for former in list(dead.neighbors):
+        bereaved = list(dead.neighbors)
+        for former in bereaved:
             former.neighbors.discard(dead)
+        full_scan = False
         for zone in dead.zones:
             heir = None
-            heir_vol = float("inf")
-            for nb in dead.neighbors:
-                if not nb.alive:
-                    continue
-                if any(zone.abuts(z) for z in nb.zones):
+            heir_vol = _INF
+            for nb in bereaved:
+                if nb.alive and _abuts_zone(nb, zone):
                     vol = nb.total_volume()
                     if vol < heir_vol:
                         heir, heir_vol = nb, vol
@@ -307,7 +325,7 @@ class CANOverlay(DHTOverlay):
                 # Possible when several neighbors died together; scan for
                 # any live abutting node (structural repair).
                 for cand in self._live:
-                    if any(zone.abuts(z) for z in cand.zones):
+                    if _abuts_zone(cand, zone):
                         heir = cand
                         break
             if heir is None and self._live:
@@ -322,14 +340,20 @@ class CANOverlay(DHTOverlay):
             if heir is None:
                 continue  # overlay is empty
             heir.zones.append(zone)
-            # Relabel the zone's leaf in the index (geometry unchanged);
-            # the center is interior, so the descent cannot land on a
-            # boundary-sharing sibling.
-            leaf = self._bsp_leaf(zone.center())
+            # Relabel the zone's leaf in the index (geometry unchanged).
+            # ``lo`` is the one corner the half-open zone contains; the
+            # center of a one-ulp-wide zone rounds onto its open ``hi``
+            # face and would descend to the sibling.
+            leaf = self._bsp_leaf(zone.lo)
             if leaf is not None:
                 leaf.owner = heir
-            # Zone adoption may create new abutments for the heir.
-            for cand in list(dead.neighbors) + self._live:
+            # Zone adoption may create new abutments for the heir.  Every
+            # node abutting a zone of ``dead`` was its neighbor (neighbor
+            # sets mirror geometry, see check_invariants), so ``bereaved``
+            # holds them all — unless a structural-repair heir from outside
+            # it now owns one of those zones; from then on scan everyone.
+            full_scan = full_scan or heir not in dead.neighbors
+            for cand in (bereaved + self._live) if full_scan else bereaved:
                 if cand is heir or not cand.alive:
                     continue
                 if cand in heir.neighbors:
@@ -350,8 +374,10 @@ class CANOverlay(DHTOverlay):
     def check_invariants(self) -> None:
         """Assert the tessellation and neighbor-symmetry invariants
         (test helper; O(N^2))."""
+        if not self._live:
+            return
         total = sum(n.total_volume() for n in self._live)
-        if self._live and abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > 1e-9:
             raise AssertionError(f"zones do not tessellate: total volume {total}")
         for node in self._live:
             if not node.zones:
@@ -363,22 +389,39 @@ class CANOverlay(DHTOverlay):
                     raise AssertionError(f"asymmetric neighbor link {node} -> {nb}")
         for node in self._live:
             for zone in node.zones:
-                if self.zone_owner(zone.center()) is not node:
+                if self.zone_owner(zone.lo) is not node:
                     raise AssertionError(
                         f"BSP index disagrees with zone ownership for {node}")
-        for i, a in enumerate(self._live):
-            for b in self._live[i + 1:]:
-                should = _are_neighbors(a, b)
-                linked = b in a.neighbors
-                if should != linked:
-                    raise AssertionError(
-                        f"neighbor set mismatch: {a} vs {b}: "
-                        f"geometric={should} linked={linked}"
-                    )
+        # Zone.abuts over all zone pairs at once, a dimension at a time:
+        # exactly one touching dim, positive-measure overlap in the others.
+        owners = np.array([n.node_id for n in self._live for _ in n.zones], dtype=object)
+        los = np.array([z.lo for n in self._live for z in n.zones])
+        his = np.array([z.hi for n in self._live for z in n.zones])
+        abut, touching = True, 0
+        for lo, hi in zip(los.T[:, :, None], his.T[:, :, None]):
+            touch = (hi == lo.T) | (lo == hi.T)
+            abut &= touch | ((lo < hi.T) & (lo.T < hi))
+            touching += touch
+        a, b = (abut & (touching == 1)).nonzero()
+        geometric = {pair for pair in zip(owners[a], owners[b]) if pair[0] != pair[1]}
+        linked = {(n.node_id, nb.node_id) for n in self._live for nb in n.neighbors}
+        if geometric != linked:
+            raise AssertionError("neighbor sets differ from zone abutment at "
+                                 f"{sorted(geometric ^ linked)[:4]}")
+
+
+def _abuts_zone(node: CANNode, zone: Zone) -> bool:
+    for z in node.zones:
+        if zone.abuts(z):
+            return True
+    return False
 
 
 def _are_neighbors(a: CANNode, b: CANNode) -> bool:
-    return any(za.abuts(zb) for za in a.zones for zb in b.zones)
+    for za in a.zones:
+        if _abuts_zone(b, za):
+            return True
+    return False
 
 
 def _separating_split(zone: Zone, p_old: Point, p_new: Point,

@@ -87,18 +87,18 @@ class Zone:
         """True iff the zones are CAN neighbors: they share a (d-1)-face —
         touching along exactly one dimension and overlapping (with positive
         measure) in every other dimension."""
-        touch_dim = -1
-        for d in range(self.dims):
-            if self.hi[d] == other.lo[d] or other.hi[d] == self.lo[d]:
+        touching = False
+        for a_lo, a_hi, b_lo, b_hi in zip(self.lo, self.hi, other.lo, other.hi):
+            if a_hi == b_lo or b_hi == a_lo:
                 # Touching in this dim; there must be exactly one such dim
                 # *without* overlap.  (Zones can touch in one dim and overlap
                 # in the rest — that's the neighbor case.)
-                if touch_dim != -1:
+                if touching:
                     return False
-                touch_dim = d
-            elif not (self.lo[d] < other.hi[d] and other.lo[d] < self.hi[d]):
+                touching = True
+            elif not (a_lo < b_hi and b_lo < a_hi):
                 return False  # disjoint with a gap in this dim
-        return touch_dim != -1
+        return touching
 
     def clamp(self, point: Point) -> Point:
         """Nearest point of the closed zone to ``point``."""

@@ -67,7 +67,7 @@ class ChordMachine(RuleBasedStateMachine):
 
 
 class CANMachine(RuleBasedStateMachine):
-    """CAN under arbitrary join/crash churn with immediate takeover."""
+    """CAN under arbitrary join/crash/leave churn with immediate takeover."""
 
     @initialize()
     def setup(self) -> None:
@@ -94,6 +94,26 @@ class CANMachine(RuleBasedStateMachine):
         victim = sorted(self.member_ids)[pick % len(self.member_ids)]
         self.overlay.crash(victim)
         self.member_ids.discard(victim)
+
+    @precondition(lambda self: len(self.member_ids) > 1)
+    @rule(pick=st.integers(0, 10**9))
+    def leave_node(self, pick: int) -> None:
+        victim = sorted(self.member_ids)[pick % len(self.member_ids)]
+        self.overlay.leave(victim)
+        self.member_ids.discard(victim)
+
+    @precondition(lambda self: len(self.member_ids) > 2)
+    @rule(pick=st.integers(0, 10**9), nb_pick=st.integers(0, 10**9))
+    def crash_node_and_a_neighbor(self, pick: int, nb_pick: int) -> None:
+        """Adjacent nodes die back to back: the second takeover inherits
+        from the first one's heir."""
+        victim = sorted(self.member_ids)[pick % len(self.member_ids)]
+        neighbors = sorted(nb.node_id for nb in self.overlay.nodes[victim].neighbors)
+        second = neighbors[nb_pick % len(neighbors)]
+        self.overlay.crash(victim)
+        self.overlay.check_invariants()
+        self.overlay.crash(second)
+        self.member_ids -= {victim, second}
 
     @rule(seed=st.integers(0, 10**9))
     def route(self, seed: int) -> None:

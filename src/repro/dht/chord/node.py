@@ -10,9 +10,7 @@ Finger storage is columnar: once a node is admitted to a
 int32 row of the overlay's dense ``(nodes, bits)`` matrix (entries are
 dense node slots, ``-1`` empty) instead of a per-node list of object
 references — ~256 B of array row instead of a ~570 B pointer list per
-node at ``bits=64`` — and :meth:`closest_preceding_live` evaluates the
-whole table as a few array masks over the overlay's id/alive columns
-instead of a Python scan.  ``node.fingers`` stays a list-like view
+node at ``bits=64``.  ``node.fingers`` stays a list-like view
 (:class:`FingerRow`) so maintenance code and tests read and write
 entries exactly as before; a node constructed standalone (before any
 overlay admits it) falls back to a plain local list.
@@ -22,12 +20,6 @@ from __future__ import annotations
 
 from repro.dht.base import DHTNode
 from repro.util.ids import GUID_BITS, ring_add, ring_between
-
-#: The ``alive`` slot descriptor from the base class; :class:`ChordNode`
-#: shadows it with a property so every write also lands in the owning
-#: overlay's dense ``_alive_col`` (the column the vectorized
-#: closest-preceding scan reads) — no caller can desync the two.
-_ALIVE = DHTNode.alive
 
 
 class FingerRow:
@@ -90,29 +82,16 @@ class ChordNode(DHTNode):
                  "_ov", "_dense", "_local_fingers")
 
     def __init__(self, node_id: int, bits: int = GUID_BITS):
-        # Overlay attachment must exist before super().__init__ assigns
-        # ``alive`` (the property below reads it).
+        super().__init__(node_id)
         self._ov = None
         self._dense = -1
-        super().__init__(node_id)
         self.bits = bits
         self.successors: list[ChordNode] = []
         self.predecessor: ChordNode | None = None
         self.fix_next = 0
         self._local_fingers: list[ChordNode | None] | None = [None] * bits
 
-    # -- columnar mirrors --------------------------------------------------
-
-    @property
-    def alive(self) -> bool:  # shadows the DHTNode slot
-        return _ALIVE.__get__(self, ChordNode)
-
-    @alive.setter
-    def alive(self, value: bool) -> None:
-        _ALIVE.__set__(self, value)
-        ov = self._ov
-        if ov is not None:
-            ov._alive_col[self._dense] = value
+    # -- finger storage ----------------------------------------------------
 
     @property
     def fingers(self):
@@ -127,9 +106,8 @@ class ChordNode(DHTNode):
         if ov is None:
             self._local_fingers = list(values)
             return
-        row = ov._finger_row(self._dense)
-        for i, f in enumerate(values):
-            row[i] = -1 if f is None else f._dense
+        slots = [-1 if f is None else f._dense for f in values]
+        ov._finger_row(self._dense)[:len(slots)] = slots
 
     # -- routing-state queries -------------------------------------------
 
@@ -150,10 +128,8 @@ class ChordNode(DHTNode):
         Scans fingers from farthest to nearest, then the successor list, and
         falls back to ``self`` when nothing qualifies (the caller then steps
         to the successor).  Skipping dead entries models lookup retry after
-        a timeout on a stale address.  Overlay-attached nodes evaluate the
-        finger scan as one array mask over the finger matrix (same result:
-        the highest qualifying level *is* the first hit of the reverse
-        scan); standalone nodes keep the scalar loop.
+        a timeout on a stale address.  Overlay-attached nodes scan their
+        row of the finger matrix; standalone nodes their local list.
         """
         ov = self._ov
         if ov is not None:

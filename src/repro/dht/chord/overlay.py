@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.dht.base import DHTOverlay, RouteResult
 from repro.dht.chord.node import ChordNode
-from repro.util.ids import GUID_BITS, ring_add, ring_between, ring_between_right_inclusive
+from repro.util.ids import GUID_BITS, ring_between
 
 
 class ChordOverlay(DHTOverlay):
@@ -52,11 +52,9 @@ class ChordOverlay(DHTOverlay):
         self.r = successor_list_len
         self.nodes: dict[int, ChordNode] = {}
         self._live_ids: list[int] = []  # sorted; oracle view for construction
-        # Columnar routing state: every admitted node gets a dense slot.
-        # Row ``d`` of the segmented finger matrix holds the dense slots of
-        # node d's fingers (-1 empty); ``_id_col``/``_alive_col`` are the
-        # per-slot GUID and liveness columns the vectorized
-        # closest-preceding scan joins against.  Slots are never reused (a
+        # Columnar routing state: every admitted node gets a dense slot,
+        # and row ``d`` of the segmented finger matrix holds the dense slots
+        # of node d's fingers (-1 empty).  Slots are never reused (a
         # recovered node is a new slot; stale fingers keep resolving to the
         # dead object, exactly as the former object references did).  The
         # matrix is a list of fixed-size row blocks rather than one 2-D
@@ -66,10 +64,6 @@ class ChordOverlay(DHTOverlay):
         self._id_mask = (1 << bits) - 1
         self._pow2 = np.left_shift(np.uint64(1),
                                    np.arange(bits, dtype=np.uint64))
-        cap = 64
-        self._n_dense = 0
-        self._id_col = np.zeros(cap, dtype=np.uint64)
-        self._alive_col = np.zeros(cap, dtype=bool)
         self._finger_segs: list[np.ndarray] = []
         self._by_dense: list[ChordNode] = []
 
@@ -88,30 +82,17 @@ class ChordOverlay(DHTOverlay):
             dense & self._SEG_MASK]
 
     def _reserve_dense(self, extra: int) -> None:
-        need = self._n_dense + extra
+        need = len(self._by_dense) + extra
         while len(self._finger_segs) * self._SEG_ROWS < need:
             self._finger_segs.append(
                 np.full((self._SEG_ROWS, self.bits), -1, dtype=np.int32))
-        cap = len(self._id_col)
-        if need <= cap:
-            return
-        new_cap = max(need, cap * 2)
-        n = self._n_dense
-        for name in ("_id_col", "_alive_col"):
-            old = getattr(self, name)
-            new = np.zeros(new_cap, dtype=old.dtype)
-            new[:n] = old[:n]
-            setattr(self, name, new)
 
     def _attach(self, node: ChordNode) -> int:
         """Give ``node`` a dense slot (idempotent for re-admissions)."""
         if node._ov is self and node._dense >= 0:
             return node._dense
         self._reserve_dense(1)
-        d = self._n_dense
-        self._n_dense = d + 1
-        self._id_col[d] = node.node_id
-        self._alive_col[d] = node.alive
+        d = len(self._by_dense)
         self._by_dense.append(node)
         local = node._local_fingers
         node._ov = self
@@ -122,42 +103,32 @@ class ChordOverlay(DHTOverlay):
         return d
 
     def _closest_finger(self, dense: int, nid: int, key: int):
-        """Vectorized finger half of ``closest_preceding_live``.
+        """Finger half of ``closest_preceding_live``: the highest-level
+        live finger strictly inside ``(nid, key)``, or None (the caller
+        falls back to the successor list).
 
-        Offsets are computed clockwise from ``nid`` in uint64 (wraparound
-        subtraction *is* ring distance, masked down for sub-64-bit rings),
-        so "alive and strictly between (nid, key)" is one mask; the highest
-        qualifying level is exactly the first hit of the scalar reverse
-        scan.  Returns None when no finger qualifies (caller falls back to
-        the successor list).
-
-        Small rings take the scalar reverse scan instead: the mask costs
-        ~10 µs of fixed numpy overhead per call, which a few-hundred-node
-        ring's short routes never amortize, while the scalar scan exits
-        at the first (usually near-top) qualifying level.  Same element
-        either way.
+        One top-down scan.  Ring offsets clockwise from ``nid`` turn the
+        interval test into ``0 < off < off_key`` (``off_key == 0`` means
+        ``key == nid``: the whole ring is "between").  On a converged ring
+        the top finger sits half a ring away, so a random key is answered
+        in a couple of iterations, and the many low levels that share the
+        successor cost one test between them because a slot equal to its
+        upper neighbour has just been rejected.  Nothing here assumes
+        offsets shrink with level: lazy and stale rows are scanned to the
+        bottom like any other.
         """
-        if self._n_dense < 512:
-            by_dense = self._by_dense
-            for idx in self._finger_row(dense)[::-1].tolist():
-                if idx >= 0:
-                    node = by_dense[idx]
-                    if node.alive and ring_between(node.node_id, nid, key):
-                        return node
-            return None
-        row = self._finger_row(dense)
-        fid = self._id_col[row]
-        off = (fid - np.uint64(nid)) & np.uint64(self._id_mask)
-        ok = (row >= 0) & (off != 0) & self._alive_col[row]
-        off_key = (key - nid) & self._id_mask
-        if off_key:
-            ok &= off < np.uint64(off_key)
-        # else: key == nid — the whole ring is "between", any live finger
-        # other than self qualifies (matches scalar ring_between).
-        hits = np.flatnonzero(ok)
-        if hits.size == 0:
-            return None
-        return self._by_dense[int(row[int(hits[-1])])]
+        by_dense = self._by_dense
+        mask = self._id_mask
+        off_key = (key - nid) & mask
+        prev = -1
+        for idx in self._finger_row(dense)[::-1].tolist():
+            if idx != prev and idx >= 0:
+                prev = idx
+                node = by_dense[idx]
+                off = (node.node_id - nid) & mask
+                if off and (off < off_key or not off_key) and node.alive:
+                    return node
+        return None
 
     # ------------------------------------------------------------------
     # membership
@@ -227,20 +198,15 @@ class ChordOverlay(DHTOverlay):
         self._attach(node)
         node.alive = True
         self._insert_live_id(node.node_id)
-        self._oracle_pointers(node)
-        n = len(self._live_ids)
-        if n == 1:
-            return
-        if n <= self.r + 1:
+        if len(self._live_ids) <= self.r + 1:
             # Tiny ring: every successor list spans the whole ring, so
             # the incremental splice degenerates to a full repair anyway.
             self.repair()
             return
-        succ = self.nodes[self._oracle_successor_ids(node.node_id, 1)[0]]
-        succ.predecessor = node
+        self._oracle_pointers(node)
+        node.successors[0].predecessor = node
         self._refresh_successor_lists(node.node_id)
-        pred = self._oracle_predecessor(node.node_id)
-        self._retarget_fingers(pred.node_id, node.node_id, node)
+        self._retarget_fingers(node.predecessor.node_id, node.node_id, node)
 
     def crash_repair(self, node_id: int) -> None:
         """Crash ``node_id`` and splice the oracle pointers incrementally.
@@ -258,14 +224,11 @@ class ChordOverlay(DHTOverlay):
         if not node.alive:
             return
         self.crash(node_id)
-        n = len(self._live_ids)
-        if n == 0:
-            return
-        if n <= self.r + 1:
+        if len(self._live_ids) <= self.r + 1:
             self.repair()
             return
         succ = self.successor_of(node_id)
-        pred = self._oracle_predecessor(node_id)
+        pred = self.nodes[self.predecessor_id(node_id)]
         if succ.predecessor is not None \
                 and succ.predecessor.node_id == node_id:
             succ.predecessor = pred
@@ -274,43 +237,64 @@ class ChordOverlay(DHTOverlay):
 
     def predecessor_id(self, key: int) -> int | None:
         """The live id strictly preceding ``key`` on the ring (oracle)."""
-        node = self._oracle_predecessor(key)
-        return None if node is None else node.node_id
+        ids = self._live_ids
+        if len(ids) <= 1:
+            return None
+        return ids[bisect.bisect_left(ids, key) - 1]
+
+    def _live_window(self, start: int, count: int) -> list[ChordNode]:
+        """Live nodes at sorted positions ``start .. start+count-1``
+        (mod n) — the ring read clockwise from one position."""
+        ids = self._live_ids
+        nodes = self.nodes
+        n = len(ids)
+        start %= n
+        if start + count <= n:
+            return [nodes[nid] for nid in ids[start:start + count]]
+        return [nodes[ids[(start + k) % n]] for k in range(count)]
 
     def _refresh_successor_lists(self, around_id: int) -> None:
         """Recompute the successor lists of the ``r`` live predecessors of
         ``around_id`` — the only lists a membership change there can touch
-        once ``n > r + 1``."""
-        cur = around_id
-        for _ in range(min(self.r, len(self._live_ids))):
-            p = self._oracle_predecessor(cur)
-            p.successors = [
-                self.nodes[sid]
-                for sid in self._oracle_successor_ids(p.node_id, self.r)]
-            cur = p.node_id
-
-    def _ids_in_arc(self, a: int, b: int) -> list[int]:
-        """Live ids in the ring interval ``(a, b]`` (wrap-aware, a != b)."""
-        ids = self._live_ids
-        lo = bisect.bisect_right(ids, a)
-        hi = bisect.bisect_right(ids, b)
-        if a < b:
-            return ids[lo:hi]
-        return ids[lo:] + ids[:hi]
+        once ``n > r + 1`` (callers repair smaller rings in full).  One
+        bisect finds the spot; predecessor ``k`` and its ``r`` successors
+        are then slices of the ``2r`` nodes around it."""
+        r = self.r
+        idx = bisect.bisect_left(self._live_ids, around_id)
+        win = self._live_window(idx - r, 2 * r)
+        for k in range(r):
+            win[k].successors = win[k + 1:k + 1 + r]
 
     def _retarget_fingers(self, lo: int, hi: int, target: ChordNode) -> None:
         """Point finger entries whose start falls in ``(lo, hi]`` at
         ``target``: level ``i`` of node ``x`` targets ``x + 2^i``, so the
-        affected nodes sit in the arc shifted down by ``2^i``."""
-        mask = (1 << self.bits) - 1
+        affected nodes sit in the arc shifted down by ``2^i``.
+
+        ``lo`` is live and nothing live lies strictly inside ``(lo, hi)``.
+        With ``p = pred(lo)``, ``a = lo - p`` and ``b = hi - lo`` (mod
+        ring; ``a + b`` does not wrap as ``p`` is not inside ``(lo,
+        hi]``), the shifted arc measured from ``p`` is ``(a - 2^i, a + b -
+        2^i]``.  While ``2^i <= min(a, b)`` it starts at or after ``p``,
+        reaches ``lo`` and ends before ``hi``, so it holds exactly ``lo``:
+        those levels are one slice of ``lo``'s row.  Only the higher
+        levels need a bisect each.
+        """
+        mask = self._id_mask
+        ids = self._live_ids
+        nodes = self.nodes
         segs = self._finger_segs
         shift, smask = self._SEG_SHIFT, self._SEG_MASK
         td = target._dense
-        nodes = self.nodes
-        for i in range(self.bits):
+        br = bisect.bisect_right
+        pred_lo = ids[bisect.bisect_left(ids, lo) - 1]
+        first = min((hi - lo) & mask, (lo - pred_lo) & mask).bit_length()
+        self._finger_row(nodes[lo]._dense)[:first] = td
+        for i in range(first, self.bits):
             span = 1 << i
-            for nid in self._ids_in_arc((lo - span) & mask,
-                                        (hi - span) & mask):
+            a = (lo - span) & mask
+            b = (hi - span) & mask
+            j, k = br(ids, a), br(ids, b)
+            for nid in ids[j:k] if a < b else ids[j:] + ids[:k]:
                 d = nodes[nid]._dense
                 segs[d >> shift][d & smask, i] = td
 
@@ -324,9 +308,9 @@ class ChordOverlay(DHTOverlay):
 
     def recover(self, node_id: int, *, oracle: bool = True) -> ChordNode:
         """Bring a crashed node back with fresh (empty) state and rejoin."""
-        old = self.nodes.pop(node_id)
-        if old.alive:
+        if self.nodes[node_id].alive:
             raise ValueError(f"node {node_id:#x} is not crashed")
+        del self.nodes[node_id]
         node = ChordNode(node_id, bits=self.bits)
         if oracle:
             self.oracle_join(node)
@@ -362,7 +346,8 @@ class ChordOverlay(DHTOverlay):
         return result
 
     def _route(self, key: int, start: ChordNode | None, record: bool) -> RouteResult:
-        key &= (1 << self.bits) - 1
+        mask = self._id_mask
+        key &= mask
         if start is None or not start.alive:
             start = self._random_live()
         if start is None:
@@ -373,17 +358,24 @@ class ChordOverlay(DHTOverlay):
         # Generous bound: a healthy ring needs O(log N); a freshly-joined
         # node whose fingers all point at its successor may walk the ring
         # linearly, so allow that, but never loop forever on a partition.
-        max_hops = max(64, 2 * self.size + 16)
+        max_hops = max(64, 2 * len(self._live_ids) + 16)
         cur = start
         hops = 0
         path = [cur.node_id]
         success = False
         owner: ChordNode | None = None
         while hops <= max_hops:
-            succ = cur.first_live_successor()
-            if succ is None:
+            for succ in cur.successors:
+                if succ.alive:
+                    break
+            else:
                 break  # cut off: every known successor is dead
-            if succ is cur or ring_between_right_inclusive(key, cur.node_id, succ.node_id):
+            # key in (cur, succ], as clockwise offsets from cur; a zero
+            # successor offset is the whole ring.
+            nid = cur.node_id
+            off_succ = (succ.node_id - nid) & mask
+            if succ is cur or not off_succ \
+                    or 0 < (key - nid) & mask <= off_succ:
                 owner = succ
                 success = True
                 if succ is not cur:
@@ -405,7 +397,7 @@ class ChordOverlay(DHTOverlay):
         """Oracle ownership: the live node whose id is the first >= key."""
         if not self._live_ids:
             return None
-        key &= (1 << self.bits) - 1
+        key &= self._id_mask
         idx = bisect.bisect_left(self._live_ids, key)
         if idx == len(self._live_ids):
             idx = 0
@@ -506,17 +498,28 @@ class ChordOverlay(DHTOverlay):
         self._rebuild_pointers()
 
     def _rebuild_pointers(self) -> None:
-        """Oracle links (scalar) + finger rows (bulk-vectorized) for every
-        live node — the O(N·B) half of construction/repair is one chunked
-        ``searchsorted`` over the sorted live-id array instead of N·B
-        bisects."""
-        for nid in self._live_ids:
-            node = self.nodes[nid]
+        """Oracle links (one sliding window over the sorted live ring) +
+        finger rows (bulk-vectorized) for every live node — the O(N·B)
+        half of construction/repair is one chunked ``searchsorted`` over
+        the sorted live-id array instead of N·B bisects."""
+        live = self.live_nodes()
+        if not live:
+            return
+        for node in live:
             if node._ov is not self or node._dense < 0:
                 # Tolerate members spliced straight into ``nodes`` (tests
                 # exercise repair() as the ground truth that way).
                 self._attach(node)
-            self._oracle_links(node)
+        # r successors, or every other node on a smaller ring; a ring of
+        # one lists itself.
+        cnt = min(self.r, len(live) - 1) or 1
+        prev = live[-1]
+        live += live[:cnt]  # wrap, so every successor list is one slice
+        for j in range(len(live) - cnt):
+            node = live[j]
+            node.successors = live[j + 1:j + 1 + cnt]
+            node.predecessor = prev
+            prev = node
         self._bulk_oracle_fingers()
 
     # ------------------------------------------------------------------
@@ -524,7 +527,7 @@ class ChordOverlay(DHTOverlay):
     # ------------------------------------------------------------------
 
     def put(self, key: int, value: Any, replicas: int = 1) -> RouteResult:
-        return super().put(key & ((1 << self.bits) - 1), value, replicas)
+        return super().put(key & self._id_mask, value, replicas)
 
     # ------------------------------------------------------------------
     # internals
@@ -546,36 +549,6 @@ class ChordOverlay(DHTOverlay):
         idx = bisect.bisect_left(self._live_ids, nid)
         if idx < len(self._live_ids) and self._live_ids[idx] == nid:
             self._live_ids.pop(idx)
-
-    def _oracle_successor_ids(self, nid: int, count: int) -> list[int]:
-        ids = self._live_ids
-        n = len(ids)
-        if n == 0:
-            return []
-        idx = bisect.bisect_right(ids, nid)
-        out = []
-        for k in range(min(count, n - 1) if n > 1 else 0):
-            out.append(ids[(idx + k) % n])
-        return out
-
-    def _oracle_predecessor(self, nid: int) -> ChordNode | None:
-        ids = self._live_ids
-        n = len(ids)
-        if n <= 1:
-            return None
-        idx = bisect.bisect_left(ids, nid)
-        return self.nodes[ids[(idx - 1) % n]]
-
-    def _oracle_links(self, node: ChordNode) -> None:
-        """Oracle successor list + predecessor (the non-finger pointers)."""
-        if len(self._live_ids) == 1:
-            node.successors = [node]
-            node.predecessor = node
-            return
-        succ_ids = self._oracle_successor_ids(node.node_id, self.r)
-        node.successors = [self.nodes[sid] for sid in succ_ids]
-        pred = self._oracle_predecessor(node.node_id)
-        node.predecessor = pred if pred is not None else node
 
     def _bulk_oracle_fingers(self) -> None:
         """Exact finger rows for every live node in one vectorized pass.
@@ -614,39 +587,25 @@ class ChordOverlay(DHTOverlay):
                 segs[int(g)][dst[sel] & smask] = rows[sel]
 
     def _oracle_pointers(self, node: ChordNode) -> None:
-        n = len(self._live_ids)
-        if n == 1:
-            node.successors = [node]
-            node.predecessor = node
-            node.fingers = [node] * self.bits
-            return
-        self._oracle_links(node)
+        """Exact pointers for one live, attached node on a ring of
+        ``n > r + 1``: predecessor and successor list from the window
+        around its position, fingers written as dense slots straight
+        into its row."""
         ids = self._live_ids
+        n = len(ids)
         nodes = self.nodes
-        bl = bisect.bisect_left
-        mask = (1 << self.bits) - 1
+        mask = self._id_mask
         nid = node.node_id
-        fingers: list[ChordNode | None] = []
-        append = fingers.append
-        # Consecutive finger targets usually land on the same successor
-        # (live ids are sparse on the ring), so reuse the previous bisect
-        # hit while the new target still falls at or before it: bisect_left
-        # found no id in [prev_target, last_id), hence none in
-        # [prev_target, target) either when target <= last_id.
-        prev_target = -1
-        last_id = -1
-        last_node = None
-        for i in range(self.bits):
-            target = (nid + (1 << i)) & mask
-            if prev_target <= target <= last_id:
-                append(last_node)
-                prev_target = target
-                continue
-            idx = bl(ids, target)
-            if idx == n:
-                idx = 0
-            last_id = ids[idx]
-            last_node = nodes[last_id]
-            append(last_node)
-            prev_target = target
-        node.fingers = fingers
+        win = self._live_window(bisect.bisect_left(ids, nid) - 1, self.r + 2)
+        node.predecessor = win[0]
+        node.successors = win[2:]
+        # Every target in (nid, successor] resolves to the successor:
+        # the levels with 2^i <= that gap are one slice.
+        succ = win[2]
+        first = ((succ.node_id - nid) & mask).bit_length()
+        row = self._finger_row(node._dense)
+        row[:first] = succ._dense
+        bl = bisect.bisect_left
+        row[first:] = [
+            nodes[ids[bl(ids, (nid + (1 << i)) & mask) % n]]._dense
+            for i in range(first, self.bits)]

@@ -207,6 +207,26 @@ class TestChurn:
         res = ov.route(nid)
         assert res.owner is node
 
+    @pytest.mark.parametrize("oracle", [True, False])
+    def test_recover_of_live_node_is_rejected_without_side_effects(self, oracle):
+        ov = build_overlay(20)
+        victim = ov.live_nodes()[4]
+        nid = victim.node_id
+        with pytest.raises(ValueError, match="not crashed"):
+            ov.recover(nid, oracle=oracle)
+        # Nothing moved: same object behind the id, same live ring.
+        assert ov.nodes[nid] is victim and victim.alive
+        assert ov.size == 20
+        assert victim in ov.live_nodes()
+        for i in range(30):
+            key = guid_for(f"rejected-recover-{i}")
+            res = ov.route(key)
+            assert res.success and res.owner is ov.successor_of(key)
+        assert ov.route(nid).owner is victim
+        with pytest.raises(KeyError):
+            ov.recover(guid_for("never-a-member"))
+        assert ov.size == 20
+
     def test_survives_with_successor_list_redundancy(self):
         # Kill a *run* of consecutive nodes shorter than the successor
         # list; routing must still succeed without oracle repair.

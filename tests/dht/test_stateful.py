@@ -24,39 +24,81 @@ from repro.util.ids import guid_for
 
 
 class ChordMachine(RuleBasedStateMachine):
-    """Chord under arbitrary oracle-membership churn."""
+    """Chord under arbitrary oracle-membership churn: full repairs and
+    incremental splices interleaved."""
+
+    bits = 64
 
     @initialize()
     def setup(self) -> None:
-        self.overlay = ChordOverlay(np.random.default_rng(0))
+        # r = 3 and eight founders: most steps run on rings above the
+        # n <= r + 1 full-repair threshold, some cross it.
+        self.overlay = ChordOverlay(np.random.default_rng(0), bits=self.bits,
+                                    successor_list_len=3)
         self.counter = 0
-        first = guid_for("chord-state-0")
-        self.overlay.build([first])
-        self.member_ids = {first}
+        self.member_ids = {self._mint() for _ in range(8)}
+        self.overlay.build(sorted(self.member_ids))
+        self.crashed_ids: set[int] = set()
+
+    def _mint(self) -> int:
+        self.counter += 1
+        return guid_for(f"chord-state-{self.counter}", bits=self.bits)
+
+    def _pick(self, ids: set[int], pick: int) -> int:
+        return sorted(ids)[pick % len(ids)]
+
+    def _crashed(self, *victims: int) -> None:
+        self.member_ids.difference_update(victims)
+        self.crashed_ids.update(victims)
 
     @rule()
     def join_node(self) -> None:
-        self.counter += 1
-        nid = guid_for(f"chord-state-{self.counter}")
+        nid = self._mint()
         if nid in self.overlay.nodes:
-            if not self.overlay.nodes[nid].alive:
-                self.overlay.recover(nid)
-                self.member_ids.add(nid)
-            return
-        self.overlay.oracle_join(ChordNode(nid))
+            return  # a 16-bit collision; dead ids return via recover_node
+        self.overlay.oracle_join(ChordNode(nid, bits=self.bits))
+        self.member_ids.add(nid)
+
+    @precondition(lambda self: self.crashed_ids)
+    @rule(pick=st.integers(0, 10**9))
+    def recover_node(self, pick: int) -> None:
+        """Re-admit a previously crashed id (the ``oracle_join`` splice
+        with stale fingers still pointing at the old object)."""
+        nid = self._pick(self.crashed_ids, pick)
+        node = self.overlay.recover(nid)
+        assert self.overlay.nodes[nid] is node and node.alive
+        self.crashed_ids.discard(nid)
         self.member_ids.add(nid)
 
     @precondition(lambda self: len(self.member_ids) > 1)
     @rule(pick=st.integers(0, 10**9))
     def crash_node(self, pick: int) -> None:
-        victim = sorted(self.member_ids)[pick % len(self.member_ids)]
+        victim = self._pick(self.member_ids, pick)
         self.overlay.crash(victim)
         self.overlay.repair()
-        self.member_ids.discard(victim)
+        self._crashed(victim)
+
+    @precondition(lambda self: len(self.member_ids) > 1)
+    @rule(pick=st.integers(0, 10**9))
+    def crash_repair_node(self, pick: int) -> None:
+        victim = self._pick(self.member_ids, pick)
+        self.overlay.crash_repair(victim)
+        self._crashed(victim)
+
+    @precondition(lambda self: len(self.member_ids) > 2)
+    @rule(pick=st.integers(0, 10**9))
+    def crash_repair_node_and_successor(self, pick: int) -> None:
+        """Adjacent nodes die back to back: the second splice starts
+        from the pointers the first one wrote."""
+        victim = self._pick(self.member_ids, pick)
+        second = self.overlay.nodes[victim].successors[0].node_id
+        self.overlay.crash_repair(victim)
+        self.overlay.crash_repair(second)
+        self._crashed(victim, second)
 
     @rule(key_seed=st.integers(0, 10**9))
     def lookup(self, key_seed: int) -> None:
-        key = guid_for(f"chord-key-{key_seed}")
+        key = guid_for(f"chord-key-{key_seed}", bits=self.bits)
         res = self.overlay.route(key)
         assert res.success
         assert res.owner is self.overlay.successor_of(key)
@@ -64,6 +106,23 @@ class ChordMachine(RuleBasedStateMachine):
     @invariant()
     def live_set_matches(self) -> None:
         assert {n.node_id for n in self.overlay.live_nodes()} == self.member_ids
+
+    @invariant()
+    def pointers_are_a_repair_fixed_point(self) -> None:
+        def snapshot():
+            return {n.node_id: ([s.node_id for s in n.successors],
+                                n.predecessor.node_id,
+                                [f.node_id for f in n.fingers])
+                    for n in self.overlay.live_nodes()}
+        spliced = snapshot()
+        self.overlay.repair()
+        assert snapshot() == spliced
+
+
+class ChordMachine16(ChordMachine):
+    """The same churn on a 16-bit ring (arcs wrap, ids collide)."""
+
+    bits = 16
 
 
 class CANMachine(RuleBasedStateMachine):
@@ -169,6 +228,8 @@ common_settings = settings(max_examples=12, stateful_step_count=30,
 
 TestChordStateful = ChordMachine.TestCase
 TestChordStateful.settings = common_settings
+TestChord16Stateful = ChordMachine16.TestCase
+TestChord16Stateful.settings = common_settings
 TestCANStateful = CANMachine.TestCase
 TestCANStateful.settings = common_settings
 TestPastryStateful = PastryMachine.TestCase

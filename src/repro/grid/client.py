@@ -158,7 +158,9 @@ class Client:
             cfg = self.grid.cfg
             self._watch_task = PeriodicTask(
                 self.grid.sim, cfg.client_check_interval, self._check_pending,
-                rng=self.grid.rng_protocol, jitter=0.1,
+                rng=self.grid.streams.keyed("protocol", self.node_id,
+                                            "watchdog"),
+                jitter=0.1,
             )
 
     def _check_pending(self) -> None:

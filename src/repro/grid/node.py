@@ -691,7 +691,8 @@ class GridNode:
             return
         self._monitor_task = PeriodicTask(
             self.grid.sim, cfg.heartbeat_interval, self._monitor_owned,
-            rng=self.grid.rng_protocol, jitter=0.1,
+            rng=self.grid.streams.keyed("protocol", self.node_id, "monitor"),
+            jitter=0.1,
         )
 
     # ------------------------------------------------------------------
@@ -993,7 +994,8 @@ class GridNode:
             return
         self._hb_task = PeriodicTask(
             self.grid.sim, cfg.heartbeat_interval, self._runner_tick,
-            rng=self.grid.rng_protocol, jitter=0.1,
+            rng=self.grid.streams.keyed("protocol", self.node_id, "heartbeat"),
+            jitter=0.1,
         )
 
     def _runner_tick(self) -> None:

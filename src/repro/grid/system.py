@@ -51,10 +51,10 @@ class GridConfig:
     # Network.
     mean_latency: float = 0.05
     latency_jitter: float = 0.3
-    # Block size for chunked RNG sampling (latency draws, periodic-task
-    # phase jitter).  Values are bit-identical for any chunk size — this
-    # only trades vectorized-draw amortization against over-drawing at
-    # the end of short runs.  See repro.util.rng.
+    # Block size for chunked RNG sampling (latency draws).  Values are
+    # bit-identical for any chunk size — this only trades vectorized-draw
+    # amortization against over-drawing at the end of short runs.  See
+    # repro.util.rng.
     rng_chunk: int = 1024
 
     # Heartbeat / recovery protocol (§2).  Off by default: the load-balance
@@ -210,13 +210,6 @@ class DesktopGrid:
         else:
             self.trace = NULL_TRACE
         self.streams = RngStreams(cfg.seed)
-        #: Shared block sampler over the "protocol" stream.  Every
-        #: protocol timer (heartbeats, monitor sweeps, client watchdogs,
-        #: CAN refresh) draws its phase jitter through this one object, so
-        #: chunked pre-draws consume the stream exactly as the scalar
-        #: draws did — see repro.util.rng for the bit-equality argument.
-        self.rng_protocol = self.streams.uniform_sampler(
-            "protocol", cfg.rng_chunk)
         self.network = Network(
             self.sim, self.streams["network"],
             LatencyModel(mean=cfg.mean_latency, jitter=cfg.latency_jitter,

@@ -65,7 +65,9 @@ class PushingCANMatchmaker(CANMatchmaker):
         self.refresh_load_info()
         self._refresh_task = PeriodicTask(
             grid.sim, self.load_refresh_interval, self.refresh_load_info,
-            rng=grid.rng_protocol, jitter=0.1,
+            # The grid-wide refresh is the "protocol" stream's only
+            # consumer (per-node timers draw from keyed streams instead).
+            rng=grid.streams["protocol"], jitter=0.1,
         )
 
     def refresh_load_info(self) -> None:

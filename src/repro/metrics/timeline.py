@@ -42,7 +42,7 @@ class LoadTimeline:
         self.interval = interval
         self.samples: list[LoadSample] = []
         self._task = PeriodicTask(grid.sim, interval, self._sample,
-                                  rng=grid.rng_protocol, stagger=False)
+                                  stagger=False)
 
     def stop(self) -> None:
         self._task.stop()

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from repro.sim.kernel import EventHandle, Simulator, WheelTimer
-from repro.util.rng import ChunkedUniform
+from repro.util.rng import KeyedUniform
 
 
 class PeriodicTask:
@@ -31,9 +31,9 @@ class PeriodicTask:
     ----------
     rng:
         Source of phase randomness: a ``numpy`` ``Generator``, or a
-        :class:`repro.util.rng.ChunkedUniform` block sampler (the grid
-        passes one shared sampler per stream — bit-identical values,
-        vectorized draws).  Only ``.uniform(low, high)`` is used.
+        :class:`repro.util.rng.KeyedUniform` (the grid gives every
+        protocol timer its own keyed stream, so no timer's phase depends
+        on another's activity).  Only ``.uniform(low, high)`` is used.
     jitter:
         Fraction of ``interval`` used for uniform phase jitter on every
         firing (0 disables).  The *first* firing is additionally offset by a
@@ -41,7 +41,7 @@ class PeriodicTask:
     """
 
     def __init__(self, sim: Simulator, interval: float, fn: Callable[[], None],
-                 *, rng: np.random.Generator | ChunkedUniform | None = None,
+                 *, rng: np.random.Generator | KeyedUniform | None = None,
                  jitter: float = 0.0, stagger: bool = True,
                  start: bool = True):
         if interval <= 0:

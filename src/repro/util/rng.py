@@ -16,11 +16,13 @@ latency model samples per message hop.  The chunked samplers below
 blocks from the *same* stream instead.  numpy's vectorized draws consume
 the bit generator exactly as repeated scalar draws do (asserted in
 ``tests/util/test_rng_blocks.py``), so the values a consumer sees are
-bit-identical — only the wall-clock cost changes.  The one caveat: a
-chunked sampler must be the stream's *only* consumer (a block pre-draw
-advances the underlying generator ahead of what was handed out), which
-is why shared streams get one family-cached sampler via
-:meth:`RngStreams.uniform_sampler`.
+bit-identical — only the wall-clock cost changes.
+
+Protocol timers (one per node per role, thousands per grid) get neither a
+``Generator`` nor a block buffer each: :class:`KeyedUniform` is a
+*stateless keyed* stream whose draw *k* is a hash of ``(seed, name, key,
+k)``, so a timer's jitter depends on nothing but its own key and how many
+draws it has made — not on how often any other timer ticked.
 """
 
 from __future__ import annotations
@@ -122,6 +124,42 @@ class ChunkedLognormal:
         return total
 
 
+_M64 = 0xFFFFFFFFFFFFFFFF
+_GAMMA = 0x9E3779B97F4A7C15  # splitmix64 increment (2**64 / golden ratio)
+
+
+def _mix64(z: int) -> int:
+    """The splitmix64 finalizer: a bijective 64-bit avalanche."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+class KeyedUniform:
+    """Uniform stream addressed by ``(seed, name, *key)``; one int of state.
+
+    The key parts (ints, or strings hashed by :func:`_name_key`) fold into
+    a 64-bit base; draw *k* is ``_mix64(base + (k + 1) * _GAMMA)`` scaled to
+    ``[0, 1)`` — splitmix64 started at a keyed offset.  All keys walk the
+    same 2**64 cycle from hashed starting points, so two streams overlap
+    only with probability ~ draws / 2**64.
+    """
+
+    __slots__ = ("_state",)
+
+    def __init__(self, seed: int, name: str, *key: int | str):
+        h = _mix64(seed & _M64)
+        for part in (name, *key):
+            if isinstance(part, str):
+                part = _name_key(part)
+            h = _mix64(((h + _GAMMA) & _M64) ^ (part & _M64))
+        self._state = h
+
+    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
+        self._state = z = (self._state + _GAMMA) & _M64
+        return low + (high - low) * ((_mix64(z) >> 11) * 2.0 ** -53)
+
+
 class RngStreams:
     """A family of independent ``numpy.random.Generator`` streams.
 
@@ -137,7 +175,6 @@ class RngStreams:
         self.seed = seed
         self._root = np.random.SeedSequence(seed)
         self._streams: dict[str, np.random.Generator] = {}
-        self._samplers: dict[str, ChunkedUniform] = {}
 
     def stream(self, name: str) -> np.random.Generator:
         """Return the (cached) generator for ``name``."""
@@ -156,20 +193,9 @@ class RngStreams:
     def __getitem__(self, name: str) -> np.random.Generator:
         return self.stream(name)
 
-    def uniform_sampler(self, name: str,
-                        chunk: int = DEFAULT_CHUNK) -> ChunkedUniform:
-        """The family-wide :class:`ChunkedUniform` over ``stream(name)``.
-
-        Cached per name so every consumer of a shared stream draws through
-        the *same* block buffer — the requirement for block draws to stay
-        bit-identical to interleaved scalar draws.  ``chunk`` applies only
-        on first creation; later calls return the cached sampler as-is.
-        """
-        sampler = self._samplers.get(name)
-        if sampler is None:
-            sampler = self._samplers[name] = ChunkedUniform(
-                self.stream(name), chunk)
-        return sampler
+    def keyed(self, name: str, *key: int | str) -> KeyedUniform:
+        """A fresh :class:`KeyedUniform` at draw 0 of ``(seed, name, *key)``."""
+        return KeyedUniform(self.seed, name, *key)
 
     def fork(self, salt: int) -> "RngStreams":
         """Derive an independent family (e.g. one per experiment replicate)."""

@@ -67,7 +67,21 @@ class TestPreOptimizationGoldens:
     sim_time 1000 with every job settled, and the test now asserts
     ``finished`` so the zombie regime cannot quietly return.  The other
     two goldens never exercise LOST (no client resubmission) and did
-    not move."""
+    not move.
+
+    A second deliberate exception, in two steps so each digest change
+    has one cause (ISSUE 16, DESIGN.md "Protocol timers").  Both
+    heartbeat-on goldens moved; the bare-oracle golden (``3741fad4…``,
+    no periodic task runs) did not.
+
+    1. *Keyed jitter.*  Every node/client protocol timer used to draw
+       its phase from one shared ``rng_protocol`` block sampler, so each
+       timer's phase depended on how often every other timer had fired.
+       Each now draws from its own ``KeyedUniform(seed, "protocol",
+       GUID, role)`` stream: same distribution, different variates.
+       heartbeats+rpc+ack ``c59ae088…`` → ``4e361f24…`` (kernel events
+       56 859 → 57 813); centralized fair-share ``1efe1eca…`` →
+       ``fbe302b2…`` (35 812 → 35 872)."""
 
     def test_bare_oracle_run(self):
         out = run_workload(_workload(), "rn-tree", seed=7)
@@ -82,7 +96,7 @@ class TestPreOptimizationGoldens:
         out = run_workload(wl, "rn-tree", seed=7, grid_cfg=cfg)
         assert out.finished  # the zombie-LOST regime burned to max_time
         assert fingerprint(out) == (
-            "c59ae088b9a99f0d6321b4195907be2c16dcb98ef5ff6f7c76f957798c4f30e6")
+            "4e361f24c31ebcf6efe2508d2cdefb07ecb5423dcfbaf22450d1cef6ba9f9a3b")
 
     def test_heartbeats_rpc_ack_run_with_tracing(self):
         """Causal tracing must not move the golden either: trace-context
@@ -97,7 +111,7 @@ class TestPreOptimizationGoldens:
         out = run_workload(wl, "rn-tree", seed=7, grid_cfg=cfg,
                            telemetry=tel)
         assert fingerprint(out) == (
-            "c59ae088b9a99f0d6321b4195907be2c16dcb98ef5ff6f7c76f957798c4f30e6")
+            "4e361f24c31ebcf6efe2508d2cdefb07ecb5423dcfbaf22450d1cef6ba9f9a3b")
         assert len(tel.bus) > 0
 
     def test_centralized_fair_share_run(self):
@@ -106,7 +120,7 @@ class TestPreOptimizationGoldens:
                          heartbeats_enabled=True)
         out = run_workload(wl, "centralized", seed=3, grid_cfg=cfg)
         assert fingerprint(out) == (
-            "1efe1eca8cc4cd5d77345698be1cb822a3d08ca307a8084d6fab6f7fc737aa8c")
+            "fbe302b287a8cfc2546c86e6833f831b5e3f8b92c2ec66bf9b9a57ce5039a469")
 
 
 class TestMitigationKnobsDefaultOff:
@@ -133,7 +147,7 @@ class TestMitigationKnobsDefaultOff:
                          client_resubmit_enabled=True, **self.KNOBS_OFF)
         out = run_workload(wl, "rn-tree", seed=7, grid_cfg=cfg)
         assert fingerprint(out) == (
-            "c59ae088b9a99f0d6321b4195907be2c16dcb98ef5ff6f7c76f957798c4f30e6")
+            "4e361f24c31ebcf6efe2508d2cdefb07ecb5423dcfbaf22450d1cef6ba9f9a3b")
 
     def test_fair_share_with_knobs_explicitly_off(self):
         wl = _workload()
@@ -141,7 +155,7 @@ class TestMitigationKnobsDefaultOff:
                          heartbeats_enabled=True, **self.KNOBS_OFF)
         out = run_workload(wl, "centralized", seed=3, grid_cfg=cfg)
         assert fingerprint(out) == (
-            "1efe1eca8cc4cd5d77345698be1cb822a3d08ca307a8084d6fab6f7fc737aa8c")
+            "fbe302b287a8cfc2546c86e6833f831b5e3f8b92c2ec66bf9b9a57ce5039a469")
 
 
 class TestColumnarKnobEquivalence:
@@ -165,7 +179,7 @@ class TestColumnarKnobEquivalence:
                          client_resubmit_enabled=True, vectorized=False)
         out = run_workload(wl, "rn-tree", seed=7, grid_cfg=cfg)
         assert fingerprint(out) == (
-            "c59ae088b9a99f0d6321b4195907be2c16dcb98ef5ff6f7c76f957798c4f30e6")
+            "4e361f24c31ebcf6efe2508d2cdefb07ecb5423dcfbaf22450d1cef6ba9f9a3b")
 
     def test_fair_share_scalar_matches_golden(self):
         wl = _workload()
@@ -173,7 +187,7 @@ class TestColumnarKnobEquivalence:
                          heartbeats_enabled=True, vectorized=False)
         out = run_workload(wl, "centralized", seed=3, grid_cfg=cfg)
         assert fingerprint(out) == (
-            "1efe1eca8cc4cd5d77345698be1cb822a3d08ca307a8084d6fab6f7fc737aa8c")
+            "fbe302b287a8cfc2546c86e6833f831b5e3f8b92c2ec66bf9b9a57ce5039a469")
 
 
 class TestTimerWheelEquivalence:
@@ -191,7 +205,7 @@ class TestTimerWheelEquivalence:
                          dispatch_ack=True, client_resubmit_enabled=True)
         out = run_workload(wl, "rn-tree", seed=7, grid_cfg=cfg)
         assert fingerprint(out) == (
-            "c59ae088b9a99f0d6321b4195907be2c16dcb98ef5ff6f7c76f957798c4f30e6")
+            "4e361f24c31ebcf6efe2508d2cdefb07ecb5423dcfbaf22450d1cef6ba9f9a3b")
 
     def test_heartbeat_aggregation_golden_n150(self):
         """Batched per-node heartbeat sweeps under churn at N=150: the

@@ -4,8 +4,8 @@ The hot-path samplers in :mod:`repro.util.rng` claim that pre-drawing
 vectorized blocks from a ``numpy`` ``Generator`` yields *exactly* the
 values — and leaves the generator in *exactly* the state — that the
 equivalent sequence of scalar calls would.  Every optimization downstream
-(latency models, periodic-task jitter) leans on that claim, so it is
-asserted here directly against numpy, not against our wrappers alone.
+(the latency models) leans on that claim, so it is asserted here directly
+against numpy, not against our wrappers alone.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from repro.util.rng import (
     DEFAULT_CHUNK,
     ChunkedLognormal,
     ChunkedUniform,
-    RngStreams,
 )
 
 
@@ -89,25 +88,3 @@ class TestChunkedLognormal:
     def test_rejects_bad_chunk(self):
         with pytest.raises(ValueError):
             ChunkedLognormal(np.random.default_rng(0), 0.0, 1.0, chunk=-1)
-
-
-class TestUniformSamplerFamilyCache:
-    def test_same_sampler_per_name(self):
-        streams = RngStreams(1)
-        s1 = streams.uniform_sampler("protocol")
-        s2 = streams.uniform_sampler("protocol")
-        assert s1 is s2
-        assert s1.rng is streams.stream("protocol")
-
-    def test_distinct_names_distinct_samplers(self):
-        streams = RngStreams(1)
-        assert streams.uniform_sampler("a") is not streams.uniform_sampler("b")
-
-    def test_shared_sampler_equals_interleaved_scalar_draws(self):
-        """Two consumers sharing the family sampler see the same
-        interleaved sequence as two consumers of a scalar generator."""
-        chunked = RngStreams(77).uniform_sampler("protocol", chunk=5)
-        scalar = RngStreams(77).stream("protocol")
-        for i in range(60):
-            lo, hi = (0.0, 1.0) if i % 2 else (10.0, 20.0)
-            assert chunked.uniform(lo, hi) == scalar.uniform(lo, hi)

@@ -154,16 +154,20 @@ class Client:
     # -- resubmission watchdog ----------------------------------------------
 
     def _ensure_watch_task(self) -> None:
-        if self._watch_task is None:
+        if self._watch_task is not None:
+            self._watch_task.wake()  # no-op unless parked
+        else:
             cfg = self.grid.cfg
             self._watch_task = PeriodicTask(
                 self.grid.sim, cfg.client_check_interval, self._check_pending,
-                rng=self.grid.streams.keyed("protocol", self.node_id,
-                                            "watchdog"),
+                rng=self.grid.streams.keyed("protocol", self.node_id, "watchdog"),
                 jitter=0.1,
             )
 
     def _check_pending(self) -> None:
+        if not self.pending:
+            self._watch_task.park()  # idle: the next submit wakes it
+            return
         cfg = self.grid.cfg
         now = self.grid.sim.now
         for guid, job in list(self.pending.items()):

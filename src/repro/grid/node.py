@@ -470,23 +470,28 @@ class GridNode:
 
     def _on_heartbeat(self, msg: Message) -> None:
         job_guid, run_node_id = msg.payload
-        rec = self.owned.get(job_guid)
-        if rec is None:
-            # We may be a freshly recruited owner (or recovered node) that
-            # lost the record; re-adopt if we are this job's current owner.
-            job = self.grid.jobs.get(job_guid)
-            if job is None or job.is_done or job.owner_id != self.node_id:
-                return  # stale heartbeat; no ack, runner will recover
-            rec = JobRecord(job, run_node_id, self.grid.sim.now)
-            self.owned[job_guid] = rec
-            self._mon_dirty = True
-            self._ensure_owner_tasks()
-        rec.run_node_id = run_node_id
-        rec.last_heartbeat = self.grid.sim.now
+        now = self.grid.sim.now
         jt = self.grid.job_table
-        if jt is not None:
-            jt.note_record(rec.job, self.node_id, run_node_id,
-                           rec.last_heartbeat)
+        rec = self.owned.get(job_guid)
+        if rec is not None and rec.run_node_id == run_node_id:
+            # Steady state: same run node, only the liveness stamp moves.
+            rec.last_heartbeat = now
+            if jt is not None:
+                jt.note_heartbeat(rec.job, self.node_id, now)
+        else:
+            if rec is None:
+                # A freshly recruited owner (or recovered node) that lost
+                # the record: re-adopt if we are this job's current owner.
+                job = self.grid.jobs.get(job_guid)
+                if job is None or job.is_done or job.owner_id != self.node_id:
+                    return  # stale heartbeat; no ack, runner will recover
+                rec = self.owned[job_guid] = JobRecord(job, run_node_id, now)
+                self._mon_dirty = True
+                self._ensure_owner_tasks()
+            rec.run_node_id = run_node_id
+            rec.last_heartbeat = now
+            if jt is not None:
+                jt.note_record(rec.job, self.node_id, run_node_id, now)
         self.grid.network.send("hb-ack", self.node_id, run_node_id, job_guid)
         if self.grid.cfg.relay_status_to_client:
             self.grid.network.send("status", self.node_id,
@@ -522,8 +527,11 @@ class GridNode:
         heartbeats are merely delayed and refreshes the record; a negative
         reply or timeout confirms the loss and the job is re-matched.
         """
-        if not self._alive:
+        if not self.owned:
+            self._monitor_task.park()  # idle: whoever adds a record wakes it
             return
+        if not self._alive:
+            return  # partitioned, records intact: keep ticking for heal()
         cfg = self.grid.cfg
         now = self.grid.sim.now
         timeout = cfg.heartbeat_interval * cfg.heartbeat_miss_limit
@@ -686,14 +694,14 @@ class GridNode:
         self._match_and_dispatch(job, retries_left=self.grid.cfg.match_retries)
 
     def _ensure_owner_tasks(self) -> None:
-        cfg = self.grid.cfg
-        if not cfg.heartbeats_enabled or self._monitor_task is not None:
-            return
-        self._monitor_task = PeriodicTask(
-            self.grid.sim, cfg.heartbeat_interval, self._monitor_owned,
-            rng=self.grid.streams.keyed("protocol", self.node_id, "monitor"),
-            jitter=0.1,
-        )
+        """Called wherever ``owned`` gains a record: sweep from now on."""
+        if self._monitor_task is not None:
+            self._monitor_task.wake()  # no-op unless parked
+        elif self.grid.cfg.heartbeats_enabled:
+            self._monitor_task = PeriodicTask(
+                self.grid.sim, self.grid.cfg.heartbeat_interval, self._monitor_owned,
+                rng=self.grid.streams.keyed("protocol", self.node_id, "monitor"),
+                jitter=0.1)
 
     # ------------------------------------------------------------------
     # runner role
@@ -919,27 +927,24 @@ class GridNode:
             self.grid.network.send("complete", self.node_id, job.owner_id, job.guid)
         self.grid.network.send("result", self.node_id, job.profile.client_id, job)
 
-    def _iter_runner_jobs(self):
-        """Queued jobs then the running one — the batch a sweep covers.
-
-        Iterates the live deque directly (no snapshot list per sweep);
-        sweep bodies only *send* messages, which the kernel defers, so
-        nothing mutates the queue mid-iteration (the deque would raise if
-        something ever did).
-        """
-        yield from self.queue
-        if self.running is not None:
-            yield self.running
+    # The two sweeps below cover queued jobs then the running one, over
+    # the live deque (no snapshot list or generator per sweep): they only
+    # *send* messages, which the kernel defers, so nothing mutates the
+    # queue mid-iteration (the deque would raise if something ever did).
 
     def _send_heartbeats(self) -> None:
         """One heartbeat per queued/running job (§2 step 5)."""
         send = self.grid.network.send
         node_id = self.node_id
         sent = 0
-        for job in self._iter_runner_jobs():
+        for job in self.queue:
             if job.owner_id is not None:
                 send("heartbeat", node_id, job.owner_id, (job.guid, node_id))
                 sent += 1
+        job = self.running
+        if job is not None and job.owner_id is not None:
+            send("heartbeat", node_id, job.owner_id, (job.guid, node_id))
+            sent += 1
         tel = self.grid.telemetry
         if sent and tel.enabled:
             ctr = self._tel_hb_ctr
@@ -960,49 +965,56 @@ class GridNode:
         cfg = self.grid.cfg
         now = self.grid.sim.now
         timeout = cfg.heartbeat_interval * cfg.heartbeat_miss_limit
-        for job in self._iter_runner_jobs():
-            last = self._last_ack.get(job.guid)
-            if last is None or now - last <= timeout:
-                continue
-            job.owner_failures += 1
-            self.grid.trace.record(now, "recovery", kind="owner",
-                                   job=job.name)
-            self.grid.metrics.on_recovery("owner", job)
-            tel = self.grid.telemetry
-            if tel.enabled:
-                if tel.flight is not None:
-                    tel.flight.note(self.node_id, now, "owner-lost",
-                                    job=job.guid, info=job.owner_id)
-                tel.trace_ctx = (job.guid, None)
-                new_owner, hops = self.grid.matchmaker.find_owner(
-                    job, start=self)
-                tel.trace_ctx = None
-            else:
-                new_owner, hops = self.grid.matchmaker.find_owner(
-                    job, start=self)
-            job.owner_route_hops += hops
-            self._last_ack[job.guid] = now  # give the recruit time to answer
-            if new_owner is None:
-                continue  # overlay unreachable; retry next sweep
-            job.owner_id = new_owner.node_id
-            self.grid.network.send("adopt-owner", self.node_id,
-                                   new_owner.node_id, job)
+        last_ack = self._last_ack.get
+        for job in self.queue:
+            last = last_ack(job.guid)
+            if last is not None and now - last > timeout:
+                self._recruit_owner(job, now)
+        job = self.running
+        if job is not None:
+            last = last_ack(job.guid)
+            if last is not None and now - last > timeout:
+                self._recruit_owner(job, now)
+
+    def _recruit_owner(self, job: Job, now: float) -> None:
+        """``job``'s owner went silent: route its profile to a new one."""
+        job.owner_failures += 1
+        self.grid.trace.record(now, "recovery", kind="owner", job=job.name)
+        self.grid.metrics.on_recovery("owner", job)
+        tel = self.grid.telemetry
+        if tel.enabled:
+            if tel.flight is not None:
+                tel.flight.note(self.node_id, now, "owner-lost",
+                                job=job.guid, info=job.owner_id)
+            tel.trace_ctx = (job.guid, None)
+            new_owner, hops = self.grid.matchmaker.find_owner(job, start=self)
+            tel.trace_ctx = None
+        else:
+            new_owner, hops = self.grid.matchmaker.find_owner(job, start=self)
+        job.owner_route_hops += hops
+        self._last_ack[job.guid] = now  # give the recruit time to answer
+        if new_owner is None:
+            return  # overlay unreachable; retry next sweep
+        job.owner_id = new_owner.node_id
+        self.grid.network.send("adopt-owner", self.node_id,
+                               new_owner.node_id, job)
 
     def _ensure_runner_tasks(self) -> None:
-        cfg = self.grid.cfg
-        if not cfg.heartbeats_enabled or self._hb_task is not None:
-            return
-        self._hb_task = PeriodicTask(
-            self.grid.sim, cfg.heartbeat_interval, self._runner_tick,
-            rng=self.grid.streams.keyed("protocol", self.node_id, "heartbeat"),
-            jitter=0.1,
-        )
+        """Called wherever the queue gains a job: heartbeat from now on."""
+        if self._hb_task is not None:
+            self._hb_task.wake()  # no-op unless parked
+        elif self.grid.cfg.heartbeats_enabled:
+            self._hb_task = PeriodicTask(
+                self.grid.sim, self.grid.cfg.heartbeat_interval, self._runner_tick,
+                rng=self.grid.streams.keyed("protocol", self.node_id, "heartbeat"),
+                jitter=0.1)
 
     def _runner_tick(self) -> None:
-        if not self._alive or (not self.queue and self.running is None):
-            return
-        self._send_heartbeats()
-        self._watch_owner_acks()
+        if not self.queue and self.running is None:
+            self._hb_task.park()  # idle: _accept_assignment wakes it
+        elif self._alive:  # partitioned with jobs: keep ticking for heal()
+            self._send_heartbeats()
+            self._watch_owner_acks()
 
     # ------------------------------------------------------------------
     # failure / recovery

@@ -450,9 +450,10 @@ class DesktopGrid:
                        chunk: float = 500.0) -> bool:
         """Advance until every submitted job reached a terminal state.
 
-        Returns True on success, False if ``max_time`` elapsed first.
-        Periodic protocol tasks keep the event queue non-empty forever, so
-        progress is checked every ``chunk`` of virtual time.
+        Returns True on success; False if ``max_time`` elapsed first or
+        the event queue drained with jobs unsettled (idle protocol timers
+        park, so a stuck run goes quiet instead of ticking to ``max_time``).
+        Progress is checked every ``chunk`` of virtual time.
         """
         # The JobTable's settled counter answers "is every job terminal?"
         # in O(1); fall back to the per-job scan when the table is off or

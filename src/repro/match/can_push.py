@@ -65,8 +65,7 @@ class PushingCANMatchmaker(CANMatchmaker):
         self.refresh_load_info()
         self._refresh_task = PeriodicTask(
             grid.sim, self.load_refresh_interval, self.refresh_load_info,
-            # The grid-wide refresh is the "protocol" stream's only
-            # consumer (per-node timers draw from keyed streams instead).
+            # Sole consumer of the "protocol" stream (node timers are keyed).
             rng=grid.streams["protocol"], jitter=0.1,
         )
 

@@ -38,6 +38,11 @@ class PeriodicTask:
         Fraction of ``interval`` used for uniform phase jitter on every
         firing (0 disables).  The *first* firing is additionally offset by a
         uniform random phase in ``[0, interval)`` when ``stagger`` is true.
+
+    A body that finds nothing to do calls :meth:`park`: the timer is not
+    rescheduled, so an idle task costs no kernel events.  Whoever creates
+    work calls :meth:`wake`, which re-arms a parked task as :meth:`start`
+    arms a new one and is a no-op on any other (ticking, stopped, new).
     """
 
     def __init__(self, sim: Simulator, interval: float, fn: Callable[[], None],
@@ -66,13 +71,14 @@ class PeriodicTask:
         self._handle: EventHandle | None = None
         self.firings = 0
         self.stopped = False
+        self.parked = False
         if start:
             self.start()
 
     def start(self) -> None:
         if self._handle is not None:
             return
-        self.stopped = False
+        self.stopped = self.parked = False
         first = self.interval
         if self.stagger and self.rng is not None:
             first = float(self.rng.uniform(0, self.interval))
@@ -84,10 +90,17 @@ class PeriodicTask:
             self._handle.cancel()
             self._handle = None
 
-    def _next_delay(self) -> float:
-        if self.jitter and self.rng is not None:
-            return float(self.rng.uniform(self._lo, self._hi))
-        return self.interval
+    def park(self) -> None:
+        """Go idle until :meth:`wake`: no timer stays in flight."""
+        self.parked = True
+        if self._handle is not None:  # parked from outside the body
+            self._handle.cancel()
+            self._handle = None
+
+    def wake(self) -> None:
+        """Re-arm a parked task (fresh stagger); otherwise a no-op."""
+        if self.parked and not self.stopped:
+            self.start()
 
     def _fire(self) -> None:
         if self.stopped:
@@ -96,10 +109,12 @@ class PeriodicTask:
         self._handle = None
         self.firings += 1
         self.fn()
-        if not self.stopped:  # fn may have called stop()
-            # No-jitter tasks skip the rng branch (and _next_delay call)
-            # entirely: the common telemetry/maintenance timers reschedule
-            # with two attribute loads and a schedule().
+        # fn may have called stop() or park() — or park() then wake(),
+        # which already put the one timer in flight.
+        if not (self.stopped or self.parked or self._handle is not None):
+            # No-jitter tasks skip the rng branch entirely: the common
+            # telemetry/maintenance timers reschedule with two attribute
+            # loads and a schedule().
             if self.jitter:
                 delay = float(self.rng.uniform(self._lo, self._hi))
             else:

@@ -16,13 +16,14 @@ latency model samples per message hop.  The chunked samplers below
 blocks from the *same* stream instead.  numpy's vectorized draws consume
 the bit generator exactly as repeated scalar draws do (asserted in
 ``tests/util/test_rng_blocks.py``), so the values a consumer sees are
-bit-identical — only the wall-clock cost changes.
+bit-identical — only the wall-clock cost changes.  The one caveat: a
+chunked sampler must be its stream's *only* consumer (a block pre-draw
+advances the underlying generator ahead of what was handed out).
 
-Protocol timers (one per node per role, thousands per grid) get neither a
-``Generator`` nor a block buffer each: :class:`KeyedUniform` is a
-*stateless keyed* stream whose draw *k* is a hash of ``(seed, name, key,
-k)``, so a timer's jitter depends on nothing but its own key and how many
-draws it has made — not on how often any other timer ticked.
+Protocol timers (thousands per grid) get neither a ``Generator`` nor a
+block buffer each: :class:`KeyedUniform` draw *k* is a hash of ``(seed,
+name, key, k)``, so a timer's jitter depends on its own key and draw count
+only — not on how often any other timer ticked.
 """
 
 from __future__ import annotations

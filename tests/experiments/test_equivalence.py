@@ -81,7 +81,16 @@ class TestPreOptimizationGoldens:
        GUID, role)`` stream: same distribution, different variates.
        heartbeats+rpc+ack ``c59ae088…`` → ``4e361f24…`` (kernel events
        56 859 → 57 813); centralized fair-share ``1efe1eca…`` →
-       ``fbe302b2…`` (35 812 → 35 872)."""
+       ``fbe302b2…`` (35 812 → 35 872).
+    2. *Parking.*  A heartbeat/monitor/watchdog timer with nothing to
+       do is no longer rescheduled, and the next job, owned record or
+       submission re-arms it with a fresh stagger draw in
+       ``[0, interval)`` instead of the phase it would have kept by
+       ticking through the idle spell.  Heartbeat cadence per job is
+       unchanged (``tests/grid/test_protocol_timers.py``); the idle
+       firings are gone.  heartbeats+rpc+ack ``4e361f24…`` →
+       ``2dd2110e…`` (57 813 → 52 689 events); centralized fair-share
+       ``fbe302b2…`` → ``618740a3…`` (35 872 → 20 880)."""
 
     def test_bare_oracle_run(self):
         out = run_workload(_workload(), "rn-tree", seed=7)
@@ -96,7 +105,7 @@ class TestPreOptimizationGoldens:
         out = run_workload(wl, "rn-tree", seed=7, grid_cfg=cfg)
         assert out.finished  # the zombie-LOST regime burned to max_time
         assert fingerprint(out) == (
-            "4e361f24c31ebcf6efe2508d2cdefb07ecb5423dcfbaf22450d1cef6ba9f9a3b")
+            "2dd2110ebe9ef7873001d6e87344e7ac5d0ad0e8f887210eb0cfe79b1ea9abcd")
 
     def test_heartbeats_rpc_ack_run_with_tracing(self):
         """Causal tracing must not move the golden either: trace-context
@@ -111,7 +120,7 @@ class TestPreOptimizationGoldens:
         out = run_workload(wl, "rn-tree", seed=7, grid_cfg=cfg,
                            telemetry=tel)
         assert fingerprint(out) == (
-            "4e361f24c31ebcf6efe2508d2cdefb07ecb5423dcfbaf22450d1cef6ba9f9a3b")
+            "2dd2110ebe9ef7873001d6e87344e7ac5d0ad0e8f887210eb0cfe79b1ea9abcd")
         assert len(tel.bus) > 0
 
     def test_centralized_fair_share_run(self):
@@ -120,7 +129,7 @@ class TestPreOptimizationGoldens:
                          heartbeats_enabled=True)
         out = run_workload(wl, "centralized", seed=3, grid_cfg=cfg)
         assert fingerprint(out) == (
-            "fbe302b287a8cfc2546c86e6833f831b5e3f8b92c2ec66bf9b9a57ce5039a469")
+            "618740a3716301b9f08734138227198121cf15b85364a108f176dd218ab781ac")
 
 
 class TestMitigationKnobsDefaultOff:
@@ -147,7 +156,7 @@ class TestMitigationKnobsDefaultOff:
                          client_resubmit_enabled=True, **self.KNOBS_OFF)
         out = run_workload(wl, "rn-tree", seed=7, grid_cfg=cfg)
         assert fingerprint(out) == (
-            "4e361f24c31ebcf6efe2508d2cdefb07ecb5423dcfbaf22450d1cef6ba9f9a3b")
+            "2dd2110ebe9ef7873001d6e87344e7ac5d0ad0e8f887210eb0cfe79b1ea9abcd")
 
     def test_fair_share_with_knobs_explicitly_off(self):
         wl = _workload()
@@ -155,7 +164,7 @@ class TestMitigationKnobsDefaultOff:
                          heartbeats_enabled=True, **self.KNOBS_OFF)
         out = run_workload(wl, "centralized", seed=3, grid_cfg=cfg)
         assert fingerprint(out) == (
-            "fbe302b287a8cfc2546c86e6833f831b5e3f8b92c2ec66bf9b9a57ce5039a469")
+            "618740a3716301b9f08734138227198121cf15b85364a108f176dd218ab781ac")
 
 
 class TestColumnarKnobEquivalence:
@@ -179,7 +188,7 @@ class TestColumnarKnobEquivalence:
                          client_resubmit_enabled=True, vectorized=False)
         out = run_workload(wl, "rn-tree", seed=7, grid_cfg=cfg)
         assert fingerprint(out) == (
-            "4e361f24c31ebcf6efe2508d2cdefb07ecb5423dcfbaf22450d1cef6ba9f9a3b")
+            "2dd2110ebe9ef7873001d6e87344e7ac5d0ad0e8f887210eb0cfe79b1ea9abcd")
 
     def test_fair_share_scalar_matches_golden(self):
         wl = _workload()
@@ -187,7 +196,7 @@ class TestColumnarKnobEquivalence:
                          heartbeats_enabled=True, vectorized=False)
         out = run_workload(wl, "centralized", seed=3, grid_cfg=cfg)
         assert fingerprint(out) == (
-            "fbe302b287a8cfc2546c86e6833f831b5e3f8b92c2ec66bf9b9a57ce5039a469")
+            "618740a3716301b9f08734138227198121cf15b85364a108f176dd218ab781ac")
 
 
 class TestTimerWheelEquivalence:
@@ -205,7 +214,7 @@ class TestTimerWheelEquivalence:
                          dispatch_ack=True, client_resubmit_enabled=True)
         out = run_workload(wl, "rn-tree", seed=7, grid_cfg=cfg)
         assert fingerprint(out) == (
-            "4e361f24c31ebcf6efe2508d2cdefb07ecb5423dcfbaf22450d1cef6ba9f9a3b")
+            "2dd2110ebe9ef7873001d6e87344e7ac5d0ad0e8f887210eb0cfe79b1ea9abcd")
 
     def test_heartbeat_aggregation_golden_n150(self):
         """Batched per-node heartbeat sweeps under churn at N=150: the

@@ -76,20 +76,8 @@ class Job:
     thousands of live Job objects, and the per-instance ``__dict__`` —
     which materializes (un-shares) the moment any attribute outside the
     ``__init__`` footprint is added — costs more than the fields
-    themselves.  The JobTable back-references below are declared as
-    fields for the same reason.
+    themselves.
     """
-
-    # Columnar-mirror back-references: the owning JobTable and this job's
-    # row in it (set by JobTable.register; None/-1 outside any grid).
-    # ``default_factory`` + ``init=False`` makes the generated __init__
-    # assign them on every instance (a plain default would stay a class
-    # attribute, which slots forbid); declared first because the ``state``
-    # property setter reads them, and __init__ assigns in field order.
-    _jt: object = field(default_factory=lambda: None, init=False,
-                        repr=False, compare=False)
-    _jt_idx: int = field(default_factory=lambda: -1, init=False,
-                         repr=False, compare=False)
 
     profile: JobProfile
     state: JobState = JobState.CREATED
@@ -155,42 +143,3 @@ class Job:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Job({self.name!r}, {self.state.value}, attempt={self.attempt})"
 
-
-# --- columnar mirror hooks (see repro.grid.jobtable) -----------------------
-#
-# ``state`` and ``owner_id`` are converted to properties *after* the
-# dataclass machinery has generated __init__/__eq__/__repr__, so every
-# assignment — including the generated __init__'s — routes through the
-# setter and keeps the grid's JobTable columns exact.  A job outside any
-# grid (unit tests, builders) has ``_jt is None`` and pays only the
-# attribute store.  Storage stays in the original slots (captured member
-# descriptors below), so no extra per-instance attribute is introduced.
-
-_STATE_SLOT = Job.state
-_OWNER_SLOT = Job.owner_id
-
-
-def _state_get(self: Job) -> JobState:
-    return _STATE_SLOT.__get__(self, Job)
-
-
-def _state_set(self: Job, value: JobState) -> None:
-    _STATE_SLOT.__set__(self, value)
-    jt = self._jt
-    if jt is not None:
-        jt.note_state(self._jt_idx, value)
-
-
-def _owner_get(self: Job) -> int | None:
-    return _OWNER_SLOT.__get__(self, Job)
-
-
-def _owner_set(self: Job, value: int | None) -> None:
-    _OWNER_SLOT.__set__(self, value)
-    jt = self._jt
-    if jt is not None:
-        jt.note_owner(self._jt_idx, value)
-
-
-Job.state = property(_state_get, _state_set)
-Job.owner_id = property(_owner_get, _owner_set)

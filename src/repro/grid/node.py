@@ -22,8 +22,6 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.grid.job import Job, JobState
 from repro.grid.resources import Vector
 from repro.grid.sandbox import SandboxViolation
@@ -86,11 +84,6 @@ class GridNode:
 
         # Owner state.
         self.owned: dict[int, JobRecord] = {}   # job guid -> record
-        #: Cached JobTable row indices for ``owned`` (the monitor sweep's
-        #: vectorized all-clear check); rebuilt lazily whenever the owned
-        #: dict's membership changes.
-        self._mon_rows: "np.ndarray | None" = None
-        self._mon_dirty = True
 
         # Periodic protocol tasks (created lazily when heartbeats are on).
         self._hb_task: PeriodicTask | None = None
@@ -139,10 +132,6 @@ class GridNode:
         job.owner_route_hops += route_hops
         job.state = JobState.MATCHING
         self.owned[job.guid] = JobRecord(job, None, sim.now)
-        self._mon_dirty = True
-        jt = self.grid.job_table
-        if jt is not None:
-            jt.note_record(job, self.node_id, None, sim.now)
         tel = self.grid.telemetry
         if tel.enabled:
             tel.bus.end_span(job.extra.pop("tel_insert", None), sim.now,
@@ -172,8 +161,7 @@ class GridNode:
             # chain for a job some other node now owns (the run node
             # recruited a replacement while we were dark).  Acting here
             # would double-manage the job; drop our record instead.
-            if self.owned.pop(job.guid, None) is not None:
-                self._mon_dirty = True
+            self.owned.pop(job.guid, None)
             return
         grid = self.grid
         tel = grid.telemetry
@@ -249,9 +237,6 @@ class GridNode:
         if rec is not None:
             rec.run_node_id = node.node_id
             rec.last_heartbeat = now
-            jt = self.grid.job_table
-            if jt is not None:
-                jt.note_record(job, self.node_id, node.node_id, now)
 
     # -- phase 2 in rpc mode: real probes, ranked selection ---------------
 
@@ -389,9 +374,6 @@ class GridNode:
         rec = self.owned.get(job.guid)
         if rec is not None and rec.run_node_id == target:
             rec.last_heartbeat = self.grid.sim.now  # the ack proves liveness
-            jt = self.grid.job_table
-            if jt is not None:
-                jt.note_heartbeat(job, self.node_id, rec.last_heartbeat)
         tel = self.grid.telemetry
         if tel.enabled:
             tel.metrics.counter("dispatch.acks").inc()
@@ -421,15 +403,12 @@ class GridNode:
         if tel.enabled and tel.flight is not None:
             tel.flight.note(self.node_id, now, "dispatch-timeout",
                             job=job.guid, info=target)
-        jt = grid.job_table
         rest = ranking[1:]
         if rest:
             job.run_node_id = rest[0]
             if rec is not None:
                 rec.run_node_id = rest[0]
                 rec.last_heartbeat = now
-                if jt is not None:
-                    jt.note_record(job, self.node_id, rest[0], now)
             self._dispatch(job, rest)
         else:
             job.state = JobState.MATCHING
@@ -437,8 +416,6 @@ class GridNode:
             if rec is not None:
                 rec.run_node_id = None
                 rec.last_heartbeat = now
-                if jt is not None:
-                    jt.note_record(job, self.node_id, None, now)
             if tel.enabled:
                 # The dispatch phase is over (exhausted); a fresh match
                 # span opens in _match_and_dispatch for the retry chain.
@@ -454,13 +431,11 @@ class GridNode:
             # ever fail a job that already reached a terminal state, or
             # the metrics double-count it (once COMPLETED at the client,
             # once FAILED here).
-            if self.owned.pop(job.guid, None) is not None:
-                self._mon_dirty = True
+            self.owned.pop(job.guid, None)
             return
         job.state = JobState.FAILED
         job.failure_reason = reason
         self.owned.pop(job.guid, None)
-        self._mon_dirty = True
         tel = self.grid.telemetry
         if tel.enabled:
             tel.close_job_spans(job, "failed")
@@ -471,13 +446,10 @@ class GridNode:
     def _on_heartbeat(self, msg: Message) -> None:
         job_guid, run_node_id = msg.payload
         now = self.grid.sim.now
-        jt = self.grid.job_table
         rec = self.owned.get(job_guid)
         if rec is not None and rec.run_node_id == run_node_id:
             # Steady state: same run node, only the liveness stamp moves.
             rec.last_heartbeat = now
-            if jt is not None:
-                jt.note_heartbeat(rec.job, self.node_id, now)
         else:
             if rec is None:
                 # A freshly recruited owner (or recovered node) that lost
@@ -486,20 +458,16 @@ class GridNode:
                 if job is None or job.is_done or job.owner_id != self.node_id:
                     return  # stale heartbeat; no ack, runner will recover
                 rec = self.owned[job_guid] = JobRecord(job, run_node_id, now)
-                self._mon_dirty = True
                 self._ensure_owner_tasks()
             rec.run_node_id = run_node_id
             rec.last_heartbeat = now
-            if jt is not None:
-                jt.note_record(rec.job, self.node_id, run_node_id, now)
         self.grid.network.send("hb-ack", self.node_id, run_node_id, job_guid)
         if self.grid.cfg.relay_status_to_client:
             self.grid.network.send("status", self.node_id,
                                    rec.job.profile.client_id, job_guid)
 
     def _on_complete(self, msg: Message) -> None:
-        if self.owned.pop(msg.payload, None) is not None:
-            self._mon_dirty = True
+        self.owned.pop(msg.payload, None)
 
     def _on_adopt(self, msg: Message) -> None:
         """A run node detected our predecessor's death and recruited us."""
@@ -508,11 +476,6 @@ class GridNode:
             return
         job.owner_id = self.node_id
         self.owned[job.guid] = JobRecord(job, job.run_node_id, self.grid.sim.now)
-        self._mon_dirty = True
-        jt = self.grid.job_table
-        if jt is not None:
-            jt.note_record(job, self.node_id, job.run_node_id,
-                           self.grid.sim.now)
         tel = self.grid.telemetry
         if tel.enabled and tel.flight is not None:
             tel.flight.note(self.node_id, self.grid.sim.now, "adopt",
@@ -535,33 +498,6 @@ class GridNode:
         cfg = self.grid.cfg
         now = self.grid.sim.now
         timeout = cfg.heartbeat_interval * cfg.heartbeat_miss_limit
-        jt = self.grid.job_table
-        if jt is not None and len(self.owned) >= 32 and not cfg.speculative \
-                and self._reg_idx >= 0:
-            # Vectorized all-clear check: one array mask over this
-            # owner's JobTable rows.  When it holds, the scalar sweep
-            # below would take no action at all — no record pops, no
-            # liveness probes, no RNG draws — so returning here is
-            # bit-identical.  Any anomaly (terminal record, moved
-            # ownership, stale heartbeat) falls through to the scalar
-            # loop, which stays the only action path.  Speculative mode
-            # adds a per-record straggler predicate the columns don't
-            # carry, so it always sweeps scalar.  Small record sets
-            # (< 32) also sweep scalar: the array mask carries ~15 µs of
-            # fixed numpy overhead, which only amortizes when one owner
-            # holds many jobs — either path takes the same actions.
-            rows = self._mon_rows
-            if self._mon_dirty or rows is None:
-                rows = np.fromiter(
-                    (rec.job._jt_idx for rec in self.owned.values()),
-                    dtype=np.int64, count=len(self.owned))
-                # A job with no row (unit tests driving owner_receive
-                # without inject) keeps this owner on the scalar path.
-                rows = rows if int(rows.min()) >= 0 else None
-                self._mon_rows = rows
-                self._mon_dirty = False
-            if rows is not None and jt.all_clear(rows, self._reg_idx, now):
-                return
         # Iterate the record dict directly (no snapshot list per sweep —
         # this fires every heartbeat interval on every owner).  The sweep
         # body only posts messages, so the dict cannot grow mid-loop;
@@ -595,8 +531,6 @@ class GridNode:
                 continue
             if now - rec.last_heartbeat > timeout and not rec.probing:
                 rec.probing = True
-                if jt is not None:
-                    jt.note_probing(job, self.node_id, True)
                 tel = self.grid.telemetry
                 self.grid.rpc.call(
                     self.node_id, rec.run_node_id, "has-job", job.guid,
@@ -610,7 +544,6 @@ class GridNode:
             pop = self.owned.pop
             for guid in done:
                 pop(guid, None)
-            self._mon_dirty = True
         if speculate is not None:
             for rec in speculate:
                 self._speculate(rec)
@@ -640,9 +573,6 @@ class GridNode:
     def _liveness_settled(self, rec: JobRecord) -> bool:
         """True when a liveness-probe outcome is still actionable."""
         rec.probing = False
-        jt = self.grid.job_table
-        if jt is not None and self.owned.get(rec.job.guid) is rec:
-            jt.note_probing(rec.job, self.node_id, False)
         return (self._alive and not rec.job.is_terminal
                 and rec.job.owner_id == self.node_id
                 and self.owned.get(rec.job.guid) is rec)
@@ -653,9 +583,6 @@ class GridNode:
         if has_job:
             # Heartbeats delayed, not dead; the reply doubles as one.
             rec.last_heartbeat = self.grid.sim.now
-            jt = self.grid.job_table
-            if jt is not None:
-                jt.note_heartbeat(rec.job, self.node_id, rec.last_heartbeat)
         else:
             self._recover_run_node(rec)
 
@@ -676,9 +603,6 @@ class GridNode:
         job.run_node_id = None
         rec.run_node_id = None
         rec.last_heartbeat = now
-        jt = self.grid.job_table
-        if jt is not None:
-            jt.note_record(job, self.node_id, None, now)
         self.grid.metrics.on_recovery("run-node", job, latency=latency)
         tel = self.grid.telemetry
         if tel.enabled:
@@ -1034,8 +958,6 @@ class GridNode:
         self.queue.clear()
         self.running = None
         self.owned.clear()
-        self._mon_rows = None
-        self._mon_dirty = True
         self._last_ack.clear()
         if self._hb_task is not None:
             self._hb_task.stop()

@@ -6,7 +6,7 @@ utilization reports — pays O(N) Python attribute chasing per sweep.  This
 registry keeps the swept state (``alive``, ``queue_len``,
 ``jobs_executed``, ``busy_time``) in dense numpy columns keyed by node
 index (``DesktopGrid.node_list`` order), so those consumers read one
-vectorized expression instead.
+array expression instead.
 
 The per-node objects remain the protocol's working state; the columns are
 mirrors updated at the few choke points where the state changes:

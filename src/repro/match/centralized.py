@@ -95,7 +95,7 @@ class CentralizedMatchmaker(Matchmaker):
             tel.metrics.histogram("match.centralized.candidates").observe(
                 int(mask.sum()))
         idx = np.flatnonzero(mask)
-        if grid.cfg.vectorized and grid.cfg.probe_mode == "oracle":
+        if grid.cfg.probe_mode == "oracle":
             # Columnar fast path: hand phase 2 the dense registry indices
             # of the alive∧capable mask and skip materializing the GUID
             # list — oracle selection reads the load column in bulk and

@@ -293,7 +293,7 @@ class RendezvousTreeMatchmaker(ChordResultStorage, Matchmaker):
         candidates, search_hops = self._extended_search(cur_id, req, self.k)
         hops += search_hops
         grid = self._require_grid()
-        if grid.cfg.vectorized and candidates:
+        if candidates:
             # Attach the candidates' dense registry indices (search order;
             # the tree search visits each node at most once, so they are
             # unique) — oracle selection then ranks over the registry's

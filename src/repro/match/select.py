@@ -260,10 +260,10 @@ def oracle_select(grid: "DesktopGrid", cset: CandidateSet,
     knowledge, see :attr:`CandidateSet.charge_probes`).
 
     When the search attached :attr:`CandidateSet.reg_idx` and the policy
-    is plain least-loaded, selection runs vectorized over the registry's
-    ``queue_len`` column — bit-identical to the scalar rank (same single
-    tie-break draw, same preference order), without the per-candidate
-    loads dict and Python sort.
+    is plain least-loaded, selection runs as array operations over the
+    registry's ``queue_len`` column — bit-identical to the scalar rank
+    (same single tie-break draw, same preference order), without the
+    per-candidate loads dict and Python sort.
     """
     if not cset:
         return [], 0

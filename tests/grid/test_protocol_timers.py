@@ -216,7 +216,6 @@ class TestHeartbeatGapProperty:
         monitor parked on the empty set) re-adopts from a heartbeat."""
         grid, job, runner, owner = self._one_long_job()
         owner.owned.clear()
-        owner._mon_dirty = True
         owner._monitor_task.park()
         sweeps = owner._monitor_task.firings
         grid.sim.run(until=30.0 + 3 * MAX_GAP)

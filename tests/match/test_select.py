@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.grid.system import GridConfig
 from repro.match.select import (
     CandidateSet,
     LeastLoadedPolicy,
@@ -12,6 +13,8 @@ from repro.match.select import (
     make_policy,
     oracle_select,
 )
+
+from tests.conftest import make_small_grid
 
 
 @pytest.fixture
@@ -140,10 +143,34 @@ class TestOracleSelect:
             small_grid, cset, LeastLoadedPolicy(), rng)
         assert ranking == [nid] and probes == 0
 
-    def test_probes_counted_when_charged(self, rng, small_grid):
-        ids = [n.node_id for n in small_grid.node_list[:3]]
-        cset = CandidateSet(candidates=ids)
-        ranking, probes = oracle_select(
-            small_grid, cset, LeastLoadedPolicy(), rng)
-        assert probes == 3
-        assert sorted(ranking) == sorted(ids)
+    @pytest.mark.parametrize("dispatch_ack", [False, True])
+    @pytest.mark.parametrize("tie_break", ["random", "first"])
+    def test_probes_counted_when_charged(self, tie_break, dispatch_ack):
+        """The registry-column path (``reg_idx`` attached) ranks exactly
+        like :meth:`LeastLoadedPolicy.rank`: same winner, same fallback
+        order, same tie-break draws, same probe charge."""
+        grid = make_small_grid(cfg=GridConfig(seed=7,
+                                              dispatch_ack=dispatch_ack))
+        loads = [2, 0, 1, 0, 3, 0]
+        grid.registry.queue_len[:len(loads)] = loads
+        ids = [n.node_id for n in grid.node_list[:len(loads)]]
+        plain = CandidateSet(candidates=ids, tie_break=tie_break)
+        columnar = CandidateSet(candidates=ids, tie_break=tie_break,
+                                reg_idx=np.arange(len(loads)))
+        winners = set()
+        for seed in range(16):
+            rng_a = np.random.default_rng(seed)
+            rng_b = np.random.default_rng(seed)
+            ranking, probes = oracle_select(
+                grid, plain, LeastLoadedPolicy(), rng_a)
+            fast, fast_probes = oracle_select(
+                grid, columnar, LeastLoadedPolicy(), rng_b)
+            assert probes == fast_probes == len(loads)
+            assert sorted(ranking) == sorted(ids)
+            # Without acked dispatch only the winner and the runner-up
+            # are ever read, so the column path stops there.
+            assert fast == (ranking if dispatch_ack else ranking[:2])
+            assert rng_a.random() == rng_b.random()
+            winners.add(ranking[0])
+        zero_load = {ids[1], ids[3], ids[5]}
+        assert winners == (zero_load if tie_break == "random" else {ids[1]})

@@ -246,13 +246,9 @@ class Simulator:
     ----------
     start_time:
         Initial value of the virtual clock (seconds).
-    timer_wheel:
-        When False, :meth:`schedule_timer` degrades to plain heap
-        scheduling — an A/B switch for the equivalence tests (results are
-        bit-identical either way; only the cancellation cost changes).
     """
 
-    def __init__(self, start_time: float = 0.0, timer_wheel: bool = True):
+    def __init__(self, start_time: float = 0.0):
         self.now = float(start_time)
         self._heap: list[tuple] = []
         self._seq = 0
@@ -262,7 +258,6 @@ class Simulator:
         self.events_cancelled = 0
         self.compactions = 0
         self._running = False
-        self._use_wheel = bool(timer_wheel)
         self._wheel = TimerWheel(self)
         #: Opt-in event-loop profiling (see :mod:`repro.telemetry.profile`).
         #: None keeps the original tight loop — the zero-overhead path is
@@ -312,15 +307,12 @@ class Simulator:
 
         A zero delay routes through the plain heap: a zero-delay event
         must join the *current* timestamp batch, which only the heap can
-        order it into.  Wheel-disabled simulators route everything
-        through the heap.
+        order it into.
         """
         if delay <= 0:
             if delay == 0:
                 return self.schedule(0.0, fn, *args)
             raise ValueError(f"negative delay {delay!r}")
-        if not self._use_wheel:
-            return self.schedule(delay, fn, *args)
         time = self.now + delay
         if time - time != 0.0:
             raise ValueError(f"invalid event time {time!r}")
@@ -345,12 +337,11 @@ class Simulator:
         single-use ``WheelTimer`` objects, which dominates the traced
         allocation profile at 10k-node scale.
 
-        Falls back to plain scheduling when the wheel is disabled or the
-        delay is zero (both must route through the heap), returning a
-        fresh handle in that case — callers must always re-point at the
-        returned handle.
+        Falls back to plain scheduling when the delay is zero (it must
+        route through the heap), returning a fresh handle in that case —
+        callers must always re-point at the returned handle.
         """
-        if delay <= 0 or not self._use_wheel:
+        if delay <= 0:
             return self.schedule_timer(delay, fn)
         time = self.now + delay
         if time - time != 0.0:

@@ -13,6 +13,28 @@ from repro.workloads.nodes import generate_nodes
 from repro.workloads.spec import WorkloadConfig
 
 
+class HeapOnlySimulator(Simulator):
+    """Reference kernel with no timer wheel: every timer waits on the
+    plain event heap.
+
+    Wheel timers take the same global sequence numbers as heap events,
+    so this kernel must fire everything in the same (time, seq) order as
+    the real one; the equivalence tests run workloads on both and compare
+    the bits.
+    """
+
+    def schedule_timer(self, delay, fn, *args):
+        return self.schedule(delay, fn, *args)
+
+    def reschedule_timer(self, timer, delay, fn):
+        return self.schedule(delay, fn)
+
+
+def install_heap_only_kernel(monkeypatch) -> None:
+    """Build every subsequent :class:`DesktopGrid` on :class:`HeapOnlySimulator`."""
+    monkeypatch.setattr("repro.grid.system.Simulator", HeapOnlySimulator)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

@@ -6,6 +6,8 @@ import pytest
 from repro.sim.kernel import Simulator
 from repro.sim.process import PeriodicTask
 
+from tests.conftest import HeapOnlySimulator
+
 
 @pytest.fixture
 def rng():
@@ -176,7 +178,7 @@ class TestParkWake:
         assert sim.live_pending == 0 and len(fired) == 1
 
     def test_parking_works_on_the_plain_heap_too(self, rng):
-        sim = Simulator(timer_wheel=False)
+        sim = HeapOnlySimulator()
         task, fired = self._task(sim, rng, body=lambda t: t.park())
         sim.run(until=5.0)
         assert sim.live_pending == 0

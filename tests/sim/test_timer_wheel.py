@@ -8,6 +8,8 @@ from repro.sim.kernel import (
     Simulator,
 )
 
+from tests.conftest import HeapOnlySimulator
+
 
 class TestWheelOrdering:
     def test_wheel_timers_fire_in_time_order(self, sim):
@@ -34,7 +36,7 @@ class TestWheelOrdering:
 
     def test_firing_order_identical_with_wheel_disabled(self):
         """A/B: the same schedule produces the same log with the wheel
-        routed through the plain heap (GridConfig.timer_wheel=False path)."""
+        routed through the plain heap (the heap-only reference kernel)."""
         def build(sim, log):
             # Delays spanning several wheel levels plus exact ties.
             for i, delay in enumerate((0.2, 40.0, 40.0, 7.5, 2000.0,
@@ -45,8 +47,8 @@ class TestWheelOrdering:
                     sim.schedule_timer(delay, log.append, (i, delay))
 
         logs = []
-        for use_wheel in (True, False):
-            sim = Simulator(timer_wheel=use_wheel)
+        for kernel in (Simulator, HeapOnlySimulator):
+            sim = kernel()
             log = []
             build(sim, log)
             sim.run()

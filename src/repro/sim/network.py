@@ -70,26 +70,24 @@ class LatencyModel:
     lognormal jitter, floored at ``minimum``.  A ``jitter`` of 0 makes the
     model deterministic (useful in unit tests).
 
-    Sampling draws lognormal variates in pre-drawn blocks of ``chunk``
-    (see :class:`repro.util.rng.ChunkedLognormal`) — bit-identical values
-    to scalar draws from the same generator, at a fraction of the cost.
+    Sampling draws lognormal variates in pre-drawn blocks of
+    ``DEFAULT_CHUNK`` (see :class:`repro.util.rng.ChunkedLognormal`) —
+    bit-identical values to scalar draws from the same generator, at a
+    fraction of the cost.
     The block buffer requires the model to be the generator's only
     consumer, which holds for every stream wired here (``"network"`` is
     sampled exclusively through :meth:`Network.hop_latency`).
     """
 
     def __init__(self, mean: float = 0.05, jitter: float = 0.3,
-                 minimum: float = 0.002, chunk: int = DEFAULT_CHUNK):
+                 minimum: float = 0.002):
         if mean <= 0:
             raise ValueError("mean latency must be positive")
         if jitter < 0:
             raise ValueError("jitter must be non-negative")
-        if chunk < 1:
-            raise ValueError("chunk must be >= 1")
         self.mean = mean
         self.jitter = jitter
         self.minimum = minimum
-        self.chunk = chunk
         # Lognormal with the requested mean: E[lognormal(mu, s)] = exp(mu + s^2/2)
         self._mu = math.log(mean) - 0.5 * jitter * jitter
         self._floor = mean if mean > minimum else minimum
@@ -115,7 +113,7 @@ class LatencyModel:
         if self.jitter == 0.0:
             floor = self._floor
             return (lambda: floor), (lambda hops: hops * floor)
-        sampler = ChunkedLognormal(rng, self._mu, self.jitter, self.chunk)
+        sampler = ChunkedLognormal(rng, self._mu, self.jitter, DEFAULT_CHUNK)
         sample = sampler.sample
         sum_clipped = sampler.sum_clipped
         minimum = self.minimum

@@ -11,11 +11,10 @@ properties the experiment harness relies on:
   matchmakers see *identical* workloads.
 
 Scalar ``Generator`` calls cost ~1 µs each in CPython — measurable when a
-latency model samples per message hop.  The chunked samplers below
-(:class:`ChunkedUniform`, :class:`ChunkedLognormal`) pre-draw vectorized
-blocks from the *same* stream instead.  numpy's vectorized draws consume
-the bit generator exactly as repeated scalar draws do (asserted in
-``tests/util/test_rng_blocks.py``), so the values a consumer sees are
+latency model samples per message hop.  :class:`ChunkedLognormal`
+pre-draws blocks from the *same* stream instead.  numpy's block draws
+consume the bit generator exactly as repeated scalar draws do (asserted
+in ``tests/util/test_rng_blocks.py``), so the values a consumer sees are
 bit-identical — only the wall-clock cost changes.  The one caveat: a
 chunked sampler must be its stream's *only* consumer (a block pre-draw
 advances the underlying generator ahead of what was handed out).
@@ -30,48 +29,16 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Default block size for chunked samplers (overridable per grid via
-#: ``GridConfig.rng_chunk``).  Big enough to amortize the vectorized-draw
+#: Block size for chunked samplers.  Big enough to amortize the block-draw
 #: fixed cost, small enough that short runs don't over-draw noticeably.
 DEFAULT_CHUNK = 1024
-
-
-class ChunkedUniform:
-    """Block-drawing standard-uniform sampler over one ``Generator``.
-
-    :meth:`uniform` returns ``low + (high - low) * u`` for the next
-    pre-drawn standard uniform ``u`` — bit-identical to a scalar
-    ``Generator.uniform(low, high)`` call, which numpy computes with the
-    same expression over one ``next_double``.  Varying bounds per call are
-    therefore fine; the block only fixes the *standard* variates.
-    """
-
-    __slots__ = ("rng", "chunk", "_buf", "_i")
-
-    def __init__(self, rng: np.random.Generator, chunk: int = DEFAULT_CHUNK):
-        if chunk < 1:
-            raise ValueError(f"chunk must be >= 1, got {chunk!r}")
-        self.rng = rng
-        self.chunk = chunk
-        self._buf: list[float] = []
-        self._i = 0
-
-    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        i = self._i
-        if i == len(self._buf):
-            # .tolist() converts once to Python floats so the per-draw
-            # scaling below runs without numpy scalar boxing.
-            self._buf = self.rng.random(self.chunk).tolist()
-            i = 0
-        self._i = i + 1
-        return low + (high - low) * self._buf[i]
 
 
 class ChunkedLognormal:
     """Block-drawing ``lognormal(mu, sigma)`` sampler over one ``Generator``.
 
     Parameters are fixed at construction (the hot callers — latency models
-    — draw from one distribution), so refills are single vectorized
+    — draw from one distribution), so refills are single block
     ``Generator.lognormal`` calls that consume the stream exactly like the
     equivalent scalar sequence.
     """

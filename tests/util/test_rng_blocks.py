@@ -1,9 +1,9 @@
 """Bit-equivalence of block (chunked) RNG draws vs scalar draws.
 
-The hot-path samplers in :mod:`repro.util.rng` claim that pre-drawing
-vectorized blocks from a ``numpy`` ``Generator`` yields *exactly* the
-values — and leaves the generator in *exactly* the state — that the
-equivalent sequence of scalar calls would.  Every optimization downstream
+The hot-path sampler in :mod:`repro.util.rng` claims that pre-drawing
+blocks from a ``numpy`` ``Generator`` yields *exactly* the values — and
+leaves the generator in *exactly* the state — that the equivalent
+sequence of scalar calls would.  Every optimization downstream
 (the latency models) leans on that claim, so it is asserted here directly
 against numpy, not against our wrappers alone.
 """
@@ -13,11 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.util.rng import (
-    DEFAULT_CHUNK,
-    ChunkedLognormal,
-    ChunkedUniform,
-)
+from repro.util.rng import ChunkedLognormal
 
 
 def _pair(seed: int = 123):
@@ -42,32 +38,6 @@ class TestNumpyBlockEquivalence:
         want = [b.uniform(2.5, 7.5) for _ in range(50)]
         got = [2.5 + (7.5 - 2.5) * u for u in us.tolist()]
         assert got == want
-
-
-class TestChunkedUniform:
-    def test_matches_scalar_uniform_fixed_bounds(self):
-        a, b = _pair(7)
-        cu = ChunkedUniform(a, chunk=16)
-        for _ in range(100):  # spans several refills
-            assert cu.uniform(3.0, 9.0) == b.uniform(3.0, 9.0)
-
-    def test_matches_scalar_uniform_varying_bounds(self):
-        a, b = _pair(11)
-        cu = ChunkedUniform(a, chunk=8)
-        bounds = [(0.0, 1.0), (5.0, 15.0), (-2.0, 2.0), (0.9, 1.1)] * 10
-        for lo, hi in bounds:
-            assert cu.uniform(lo, hi) == b.uniform(lo, hi)
-
-    def test_chunk_size_does_not_change_values(self):
-        seqs = []
-        for chunk in (1, 3, 64, DEFAULT_CHUNK):
-            cu = ChunkedUniform(np.random.default_rng(42), chunk=chunk)
-            seqs.append([cu.uniform(0.0, 5.0) for _ in range(200)])
-        assert all(s == seqs[0] for s in seqs)
-
-    def test_rejects_bad_chunk(self):
-        with pytest.raises(ValueError):
-            ChunkedUniform(np.random.default_rng(0), chunk=0)
 
 
 class TestChunkedLognormal:

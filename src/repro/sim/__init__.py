@@ -10,14 +10,12 @@ the job-lifecycle protocols.  This package provides that substrate:
   what drives failure detection in the grid layer.
 * :mod:`repro.sim.process` — periodic tasks (heartbeats, stabilization).
 * :mod:`repro.sim.failure` — churn and crash/recovery injection.
-* :mod:`repro.sim.trace` — lightweight structured event tracing.
 """
 
 from repro.sim.kernel import EventHandle, Simulator
 from repro.sim.network import LatencyModel, Message, Network
 from repro.sim.process import PeriodicTask
 from repro.sim.failure import CrashRecoveryProcess, FailureInjector
-from repro.sim.trace import TraceRecorder
 
 __all__ = [
     "EventHandle",
@@ -28,5 +26,4 @@ __all__ = [
     "PeriodicTask",
     "CrashRecoveryProcess",
     "FailureInjector",
-    "TraceRecorder",
 ]

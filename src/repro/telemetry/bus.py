@@ -129,7 +129,7 @@ class TelemetryBus:
                                  or category in self.categories)
 
     def record(self, time: float, category: str, **detail: Any) -> None:
-        """Append a point event (the legacy ``TraceRecorder`` API)."""
+        """Append a point event (the ``grid.trace.record`` API)."""
         if not self.enabled:
             return
         if self.categories is not None and category not in self.categories:

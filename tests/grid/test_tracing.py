@@ -3,7 +3,7 @@
 from repro.grid.job import Job, JobProfile
 from repro.grid.system import DesktopGrid, GridConfig
 from repro.match import make_matchmaker
-from repro.sim.trace import TraceRecorder
+from repro.telemetry.bus import TelemetryBus
 from repro.workloads import WorkloadConfig, generate_nodes
 
 import numpy as np
@@ -12,7 +12,7 @@ import numpy as np
 def traced_grid(categories=None, n_nodes=10, seed=7):
     nodes = generate_nodes(WorkloadConfig(n_nodes=n_nodes, node_mode="mixed"),
                            np.random.default_rng(seed))
-    trace = TraceRecorder(categories=categories)
+    trace = TelemetryBus(categories=categories)
     grid = DesktopGrid(GridConfig(seed=seed), make_matchmaker("rn-tree"),
                        nodes, trace=trace)
     return grid, trace

@@ -25,6 +25,24 @@ class TestConstruction:
         with pytest.raises(ValueError):
             GridConfig(queue_discipline="lifo")
 
+    @pytest.mark.parametrize("field, value", [
+        ("heartbeat_interval", 0.0),
+        ("client_check_interval", float("inf")),
+        ("client_timeout", -1.0),
+        ("probe_timeout", float("nan")),
+        ("heartbeat_miss_limit", 0.0),
+        ("client_max_attempts", 0),
+        ("match_retries", -1),
+        ("match_retry_backoff", -1.0),
+        ("reference_cpu_level", 0.0),
+        ("cpu_dim", 7),
+    ])
+    def test_bad_protocol_value_rejected_at_construction(self, field, value):
+        # Validated whatever the enabling flag: heartbeats, resubmission
+        # and runtime scaling are all off in this config.
+        with pytest.raises(ValueError, match=field):
+            GridConfig(**{field: value})
+
     def test_matchmaker_bound(self):
         grid = make_small_grid()
         assert grid.matchmaker.grid is grid

@@ -6,8 +6,9 @@ complexity of the job"); these sweeps quantify the trade-offs behind
 those choices:
 
 * **Heartbeat interval** — failure-detection latency vs heartbeat
-  traffic.  Recovery cannot begin before ``interval * miss_limit``
-  seconds of silence, so sparse heartbeats stretch turnaround under
+  traffic.  Run-node recovery cannot begin before ``interval *
+  miss_limit`` seconds of silence, and owner loss surfaces only at the
+  next failed heartbeat, so sparse heartbeats stretch turnaround under
   churn; dense heartbeats multiply per-job messaging.
 * **RN-Tree random-walk length** (§3.1 "limited random walk") — the walk
   decorrelates search start points; with uniformly hashed job GUIDs the
@@ -93,7 +94,7 @@ def run_heartbeat_sweep(intervals: tuple[float, ...] = (2.0, 5.0, 10.0, 20.0),
         s = grid.metrics.summary()
         protocol_msgs = sum(
             grid.network.stats.by_kind.get(kind, 0)
-            for kind in ("heartbeat", "hb-ack", "status"))
+            for kind in ("heartbeat", "status"))
         summary = {
             "msgs_per_job": protocol_msgs / max(s["completed"], 1.0),
             "completed_frac": s["completed"] / max(len(grid.jobs), 1),

@@ -49,7 +49,7 @@ class GridConfig:
     # experiments (like the paper's) run failure-free and skip the traffic.
     heartbeats_enabled: bool = False
     heartbeat_interval: float = 5.0
-    heartbeat_miss_limit: float = 3.0
+    heartbeat_miss_limit: float = 3.0  # owner's run-node monitor only
     relay_status_to_client: bool = False
 
     # Client resubmission (last-resort recovery, §2).

@@ -4,10 +4,10 @@ The grid layer's direct connections (heartbeats, owner<->run-node control
 messages, result return — §2 of the paper notes these bypass the overlay
 "for efficiency ... for example by a socket connection") are modeled here:
 a message to a live endpoint is delivered after a sampled latency; a
-message to a dead endpoint is silently dropped, exactly like a TCP RST /
-timeout in the real system.  Failure *detection* therefore happens where it
-does in the paper — in the protocol layer, via missed heartbeats — not by
-oracle.
+message to a dead endpoint is dropped and the live sender told, like a TCP
+sender's connection error.  Failure *detection* therefore happens where it
+does in the paper — in the protocol layer, via failed deliveries and
+missed heartbeats — not by oracle.
 
 DHT routing hops are accounted separately by the overlays (see
 :mod:`repro.dht.base`); they use :meth:`Network.hop_latency` so both kinds
@@ -36,6 +36,7 @@ class Endpoint(Protocol):
     def alive(self) -> bool: ...
 
     def handle_message(self, msg: "Message") -> None: ...
+    # Optional: ``handle_undeliverable(msg)``, told of a dead destination.
 
 
 @dataclass(slots=True)
@@ -173,7 +174,7 @@ class Network:
         #: Message freelist (None = pooling off).  When enabled, a
         #: delivered (or dropped) envelope is scrubbed and reused by a
         #: later send instead of allocating a fresh ``Message`` — at 10k
-        #: nodes the heartbeat/ack fast path otherwise allocates one
+        #: nodes the heartbeat fast path otherwise allocates one
         #: slotted object per protocol message.  Opt-in because it
         #: requires every endpoint (and ``on_delivered`` callback) not to
         #: retain the message past its handler; the grid's endpoints
@@ -236,10 +237,11 @@ class Network:
              trace: tuple[int, int | None] | None = None) -> Message | None:
         """Send a message; returns it, or None if the sender is already dead.
 
-        Delivery (or drop) happens after one sampled latency.  There is no
-        delivery acknowledgement at this layer; protocols that need one send
-        an explicit reply.  ``trace`` is the optional causal context
-        carried for telemetry only (see :class:`Message`).
+        Delivery (or drop) happens after one sampled latency.  A drop at a
+        dead destination is reported then to a live sender that defines
+        ``handle_undeliverable``: no reply message is needed to learn of a
+        dead peer.  ``trace`` is the optional causal context carried for
+        telemetry only (see :class:`Message`).
         """
         src_ep = self._endpoints.get(src)
         if src_ep is not None and not src_ep.alive:
@@ -288,6 +290,10 @@ class Network:
             self.stats.dropped_dead_dst += 1
             if self._ctr_dropped is not None:
                 self._ctr_dropped.inc()
+            src_ep = self._endpoints.get(msg.src)
+            if src_ep is not None and src_ep.alive \
+                    and hasattr(src_ep, "handle_undeliverable"):
+                src_ep.handle_undeliverable(msg)
             self._recycle(msg, on_delivered)
             return
         self.stats.delivered += 1

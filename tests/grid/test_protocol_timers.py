@@ -308,8 +308,9 @@ class TestAgreesWithAlwaysTicking:
             np.mean(tick["run_node_lat"]), rel=0.08)
         for lat in (park["run_node_lat"], tick["run_node_lat"]):
             assert INTERVAL * 3 < np.mean(lat) < INTERVAL * 3 + 2 * MAX_GAP
-        # Owner loss is detected by the run node's ack watch, same timer
-        # as its heartbeats; the counts pool to the same order.
+        # Owner loss is detected by the run node when a heartbeat to the
+        # dead owner cannot be delivered, so it rides the heartbeat timer;
+        # the counts pool to the same order.
         assert park["owner_recoveries"] > 0 and tick["owner_recoveries"] > 0
         assert park["owner_recoveries"] == pytest.approx(
             tick["owner_recoveries"], rel=0.25)

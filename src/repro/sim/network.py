@@ -176,11 +176,9 @@ class Network:
         #: later send instead of allocating a fresh ``Message`` — at 10k
         #: nodes the heartbeat fast path otherwise allocates one
         #: slotted object per protocol message.  Opt-in because it
-        #: requires every endpoint (and ``on_delivered`` callback) not to
-        #: retain the message past its handler; the grid's endpoints
-        #: honor that, arbitrary test doubles may not.  Messages sent
-        #: with ``on_delivered`` are never pooled (the callback may
-        #: legitimately keep them).
+        #: requires every endpoint not to retain the message past its
+        #: handler; the grid's endpoints honor that, arbitrary test
+        #: doubles may not.
         self._pool: list[Message] | None = [] if pool_messages else None
         #: Optional :class:`repro.telemetry.core.Telemetry` sink (None = off);
         #: per-kind message counters plus (filtered-in) per-message events.
@@ -233,7 +231,6 @@ class Network:
         return self._draw_latency_sum(hops)
 
     def send(self, kind: str, src: int, dst: int, payload: Any = None,
-             on_delivered: Callable[[Message], None] | None = None,
              trace: tuple[int, int | None] | None = None) -> Message | None:
         """Send a message; returns it, or None if the sender is already dead.
 
@@ -280,11 +277,10 @@ class Network:
         # handle-free fast path applies (no EventHandle allocation, no
         # post-fire slot clearing) — this is the hottest schedule site in
         # every message-driven run.
-        sim.post(self._draw_latency(), self._deliver, msg, on_delivered)
+        sim.post(self._draw_latency(), self._deliver, msg)
         return msg
 
-    def _deliver(self, msg: Message,
-                 on_delivered: Callable[[Message], None] | None) -> None:
+    def _deliver(self, msg: Message) -> None:
         dst_ep = self._endpoints.get(msg.dst)
         if dst_ep is None or not dst_ep.alive:
             self.stats.dropped_dead_dst += 1
@@ -294,34 +290,27 @@ class Network:
             if src_ep is not None and src_ep.alive \
                     and hasattr(src_ep, "handle_undeliverable"):
                 src_ep.handle_undeliverable(msg)
-            self._recycle(msg, on_delivered)
+            self._recycle(msg)
             return
         self.stats.delivered += 1
         if self._ctr_delivered is not None:
             self._ctr_delivered.inc()
         dst_ep.handle_message(msg)
-        if on_delivered is not None:
-            on_delivered(msg)
-        elif self._pool is not None:
-            self._recycle(msg, None)
+        if self._pool is not None:
+            self._recycle(msg)
 
     #: Freelist cap — enough to absorb the largest in-flight burst worth
     #: reusing without pinning an unbounded high-water mark forever.
     _POOL_MAX = 4096
 
-    def _recycle(self, msg: Message,
-                 on_delivered: Callable[[Message], None] | None) -> None:
-        """Scrub a finished envelope and return it to the freelist.
-
-        Skipped when pooling is off or the sender attached an
-        ``on_delivered`` callback (the callback may retain the message, so
-        mutating it on reuse would corrupt the caller's view).  Payload and
-        trace are dropped here so a pooled envelope never pins job objects
-        or span trees alive between uses.
+    def _recycle(self, msg: Message) -> None:
+        """Scrub a finished envelope and return it to the freelist (a
+        no-op when pooling is off).  Payload and trace are dropped here so
+        a pooled envelope never pins job objects or span trees alive
+        between uses.
         """
         pool = self._pool
-        if pool is None or on_delivered is not None \
-                or len(pool) >= self._POOL_MAX:
+        if pool is None or len(pool) >= self._POOL_MAX:
             return
         msg.payload = None
         msg.trace = None

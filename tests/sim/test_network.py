@@ -93,15 +93,6 @@ class TestDelivery:
         net.sim.run()
         assert net.stats.dropped_dead_dst == 1
 
-    def test_on_delivered_callback(self, net):
-        a, b = FakeEndpoint(1), FakeEndpoint(2)
-        net.register(a)
-        net.register(b)
-        seen = []
-        net.send("ping", 1, 2, on_delivered=seen.append)
-        net.sim.run()
-        assert len(seen) == 1
-
     def test_duplicate_registration_rejected(self, net):
         net.register(FakeEndpoint(1))
         with pytest.raises(ValueError):

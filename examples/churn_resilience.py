@@ -24,7 +24,6 @@ def main() -> None:
         seed=3,
         heartbeats_enabled=True,
         heartbeat_interval=5.0,
-        relay_status_to_client=True,
         client_resubmit_enabled=True,
         client_timeout=180.0,
     )

@@ -99,7 +99,6 @@ def _grid_config(cc: ChurnConfig, seed: int) -> GridConfig:
         seed=seed,
         heartbeats_enabled=True,
         heartbeat_interval=cc.heartbeat_interval,
-        relay_status_to_client=True,
         client_resubmit_enabled=True,
         client_check_interval=cc.heartbeat_interval * 4,
         client_timeout=cc.client_timeout,

@@ -134,7 +134,6 @@ def _grid_config(cc: MatchPipeConfig, probe_mode: str, policy: str,
         heartbeats_enabled=True,
         heartbeat_interval=cc.heartbeat_interval,
         heartbeat_miss_limit=cc.heartbeat_miss_limit,
-        relay_status_to_client=True,
         client_resubmit_enabled=True,
         client_check_interval=cc.heartbeat_interval * 4,
         client_timeout=240.0,

@@ -78,7 +78,6 @@ def run_heartbeat_sweep(intervals: tuple[float, ...] = (2.0, 5.0, 10.0, 20.0),
         nodes, stream = build_population(workload, seed)
         cfg = GridConfig(seed=seed, heartbeats_enabled=True,
                          heartbeat_interval=interval,
-                         relay_status_to_client=True,
                          client_resubmit_enabled=True,
                          client_timeout=max(240.0, 10 * interval),
                          client_max_attempts=8,

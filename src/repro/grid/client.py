@@ -3,9 +3,10 @@
 A client is a lightweight network endpoint (it is *not* a grid node; the
 paper's clients merely inject jobs and collect results).  Per §2, if both
 the owner and the run node fail before recovery completes, "the client
-must resubmit the job" — the client learns this only from silence: owners
-relay heartbeat status to the client, and a job with no status and no
-result for ``client_timeout`` is resubmitted.
+must resubmit the job" — the client learns this only from silence: with
+resubmission on, each job's owner relays a ``status`` at most once per
+``client_check_interval`` (on an arriving heartbeat), and a job with no
+status and no result for ``client_timeout`` is resubmitted.
 """
 
 from __future__ import annotations
@@ -94,7 +95,9 @@ class Client:
 
     def handle_message(self, msg: Message) -> None:
         if msg.kind == "status":
-            self._last_seen[msg.payload] = self.grid.sim.now
+            # A status that trails the result must not re-add an entry.
+            if msg.payload in self.pending:
+                self._last_seen[msg.payload] = self.grid.sim.now
         elif msg.kind == "result":
             self._on_result(msg.payload)
         elif msg.kind == "result-pointer":

@@ -10,7 +10,9 @@ Every participant can simultaneously play both §2 roles:
   DHT to recruit a replacement owner when a heartbeat to the owner cannot
   be delivered ("heartbeat delivery fails"; heartbeats are never acked).
 * **Owner node** — monitors every job mapped to it, re-runs matchmaking
-  when a run node's heartbeats stop, and relays status to the client.
+  when a run node's heartbeats stop, and, when client resubmission is on,
+  relays a heartbeat to the client as ``status`` at most once per
+  ``client_check_interval`` (the watchdog's only liveness signal).
 
 All control traffic uses direct network messages (the paper: "we employ a
 direct connection between the run node and the owner node ... rather than
@@ -45,13 +47,15 @@ class JobRecord:
     timer cost scales with nodes, not with jobs.
     """
 
-    __slots__ = ("job", "run_node_id", "last_heartbeat", "probing",
-                 "speculated")
+    __slots__ = ("job", "run_node_id", "last_heartbeat", "last_status",
+                 "probing", "speculated")
 
     def __init__(self, job: Job, run_node_id: int | None, now: float):
         self.job = job
         self.run_node_id = run_node_id
         self.last_heartbeat = now
+        #: When the owner last relayed ``status`` to the client.
+        self.last_status = now
         #: A liveness rpc to the run node is in flight (monitor sweep).
         self.probing = False
         #: A speculative clone was already launched for this job (the
@@ -471,7 +475,10 @@ class GridNode:
                 self._ensure_owner_tasks()
             rec.run_node_id = run_node_id
             rec.last_heartbeat = now
-        if self.grid.cfg.relay_status_to_client:
+        cfg = self.grid.cfg
+        if cfg.client_resubmit_enabled \
+                and now - rec.last_status >= cfg.client_check_interval:
+            rec.last_status = now
             self.grid.network.send("status", self.node_id,
                                    rec.job.profile.client_id, job_guid)
 

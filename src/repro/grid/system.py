@@ -50,9 +50,8 @@ class GridConfig:
     heartbeats_enabled: bool = False
     heartbeat_interval: float = 5.0
     heartbeat_miss_limit: float = 3.0  # owner's run-node monitor only
-    relay_status_to_client: bool = False
 
-    # Client resubmission (last-resort recovery, §2).
+    # Client resubmission (last-resort recovery, §2; needs heartbeats).
     client_resubmit_enabled: bool = False
     client_check_interval: float = 20.0
     client_timeout: float = 60.0
@@ -158,6 +157,8 @@ class GridConfig:
                     f"{name} must be positive and finite, got {value!r}")
         if not 0 < self.heartbeat_miss_limit < math.inf:
             raise ValueError("heartbeat_miss_limit must be positive and finite")
+        if self.client_resubmit_enabled and not self.heartbeats_enabled:
+            raise ValueError("client_resubmit_enabled needs heartbeats_enabled")
         if self.client_max_attempts < 1:
             raise ValueError("client_max_attempts must be >= 1")
         if self.match_retries < 0:

@@ -76,24 +76,34 @@ class TestSubmission:
 
 class TestResubmissionWatchdog:
     def test_abandons_after_max_attempts(self):
-        # Silence without routing failure: the grid stays up (so every
-        # resubmission routes to an owner) but status relay is off, so the
-        # client hears nothing until the (slow) job finishes — which the
-        # watchdog's patience does not cover.
+        # Silence from faults (§2's last-resort case): on every attempt the
+        # owner and the run node both crash once the job is dispatched, so
+        # neither recovery path survives and no status reaches the client.
+        # The grid keeps enough live nodes that each resubmission still
+        # routes to a fresh owner.
         cfg = GridConfig(seed=7, heartbeats_enabled=True,
                          heartbeat_interval=1.0,
-                         relay_status_to_client=False,
                          client_resubmit_enabled=True,
                          client_check_interval=2.0,
                          client_timeout=5.0,
                          client_max_attempts=2,
                          match_retries=0,
                          match_retry_backoff=1.0)
-        grid = make_small_grid(cfg=cfg, n_nodes=4)
+        grid = make_small_grid("rn-tree", cfg=cfg, n_nodes=12)
         client = grid.client("c")
-        job = make_job(client, "hopeless", work=500.0)
+        job = make_job(client, "doomed", work=500.0)
         grid.submit_at(0.0, client, job)
-        grid.run(until=100.0)
+        crashed_attempts = set()
+        now = 0.0
+        while now < 100.0 and job.state is not JobState.LOST:
+            now += 0.25
+            grid.run(until=now)
+            if job.run_node_id is not None \
+                    and job.attempt not in crashed_attempts:
+                crashed_attempts.add(job.attempt)
+                grid.crash_node(job.owner_id)
+                grid.crash_node(job.run_node_id)
+        assert crashed_attempts == {1, 2, 3}
         assert job.state is JobState.LOST
         assert job.attempt > 2
         assert job.guid not in client.pending
@@ -105,7 +115,6 @@ class TestResubmissionWatchdog:
         # not stuck in SUBMITTED until the watchdog gives up.
         cfg = GridConfig(seed=7, heartbeats_enabled=True,
                          heartbeat_interval=1.0,
-                         relay_status_to_client=True,
                          client_resubmit_enabled=True,
                          client_check_interval=2.0,
                          client_timeout=5.0,
@@ -124,10 +133,23 @@ class TestResubmissionWatchdog:
         assert job.guid not in client.pending
         assert job in grid.metrics.failed()
 
+    def test_status_after_result_is_ignored(self):
+        # A status racing the result must not leave a watchdog entry
+        # behind for a job that is no longer pending.
+        grid = make_small_grid()
+        client = grid.client("c")
+        job = make_job(client, "late-status")
+        grid.submit_at(0.0, client, job)
+        grid.run_until_done(max_time=1000)
+        grid.network.send("status", grid.node_list[0].node_id,
+                          client.node_id, job.guid)
+        grid.run(until=grid.sim.now + 1.0)
+        assert job.guid not in client.pending
+        assert job.guid not in client._last_seen
+
     def test_no_resubmission_while_status_flows(self):
         cfg = GridConfig(seed=7, heartbeats_enabled=True,
                          heartbeat_interval=1.0,
-                         relay_status_to_client=True,
                          client_resubmit_enabled=True,
                          client_check_interval=2.0,
                          client_timeout=6.0)

@@ -142,8 +142,7 @@ class TestHeartbeatProtocol:
         assert job.attempt == 1
 
     def test_both_crash_forces_client_resubmission(self):
-        grid = self.make_hb_grid(relay_status_to_client=True,
-                                 client_resubmit_enabled=True,
+        grid = self.make_hb_grid(client_resubmit_enabled=True,
                                  client_check_interval=5.0,
                                  client_timeout=20.0,
                                  client_max_attempts=5)

@@ -57,7 +57,6 @@ class TestResultPointer:
     def test_lost_replicas_trigger_resubmission(self):
         cfg = GridConfig(seed=7, result_return="pointer",
                          heartbeats_enabled=True, heartbeat_interval=1.0,
-                         relay_status_to_client=True,
                          client_resubmit_enabled=True,
                          client_check_interval=5.0, client_timeout=15.0)
         grid = make_small_grid("rn-tree", n_nodes=16, cfg=cfg)

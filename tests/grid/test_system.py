@@ -36,6 +36,8 @@ class TestConstruction:
         ("match_retry_backoff", -1.0),
         ("reference_cpu_level", 0.0),
         ("cpu_dim", 7),
+        # The watchdog's liveness signal rides on heartbeats.
+        ("client_resubmit_enabled", True),
     ])
     def test_bad_protocol_value_rejected_at_construction(self, field, value):
         # Validated whatever the enabling flag: heartbeats, resubmission

@@ -27,7 +27,6 @@ def build_kitchen_sink(seed=5, n_nodes=60):
         seed=seed,
         heartbeats_enabled=True,
         heartbeat_interval=4.0,
-        relay_status_to_client=True,
         client_resubmit_enabled=True,
         client_check_interval=10.0,
         client_timeout=120.0,

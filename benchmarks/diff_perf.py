@@ -28,7 +28,6 @@ from pathlib import Path
 from perf import (
     BASELINE_PATH,
     CPU_SENSITIVE_CELLS,
-    ENGINE_METRICS,
     MEMORY_METRICS,
     PERF_PATH,
     PERF_SCHEMA,
@@ -113,25 +112,11 @@ def compare(baseline: dict, current: dict,
             else:
                 status = "ok"
             rows.append((cell, metric, before, after, ratio, status))
-    # Engine-overhead metrics are warn-only too: parent-side merge
-    # bookkeeping is millisecond-scale and noisy on shared runners, so
-    # drift is surfaced in the table but never gates.
-    for cell in sorted(set(baseline["entries"]) & set(current["entries"])):
-        for metric, higher_is_better in sorted(ENGINE_METRICS.items()):
-            before = baseline["entries"][cell].get(metric)
-            after = current["entries"][cell].get(metric)
-            if before is None or after is None:
-                continue
-            ratio = after / before if before else float("inf")
-            worse = (ratio < 1.0 - tolerance if higher_is_better
-                     else ratio > 1.0 + tolerance)
-            status = "warn (engine)" if worse else "ok"
-            rows.append((cell, metric, before, after, ratio, status))
     return rows, regressed
 
 
 def _fmt(value: float | None) -> str:
-    """Counts get thousands separators; sub-10 values (merge seconds,
+    """Counts get thousands separators; sub-10 values (wall seconds,
     speedup ratios) keep three decimals instead of collapsing to 0."""
     if value is None:
         return "-"

@@ -39,12 +39,7 @@ against a recorded baseline (``BENCH_perf.baseline.json``).
                               "selects_per_s": ...,
                               "selects_per_s_scalar": ...,
                               "speedup_vs_scalar": ..., "n_nodes": ...,
-                              "k": ...},
-        "parallel.overhead": {"wall_s": ..., "cells": 36.0, "jobs": 2.0,
-                              "merge_s_pickled": ..., "merge_s_spool": ...,
-                              "merge_speedup": ...,
-                              "bytes_pickled": ..., "bytes_spool": ...,
-                              "bytes_ratio": ...}
+                              "k": ...}
       }
     }
 
@@ -120,19 +115,6 @@ THROUGHPUT_METRICS: dict[str, str] = {
 #: ``cpu_count``, a "regression" in these cells usually measures the
 #: hardware, not the code — diff_perf softens them to a warning.
 CPU_SENSITIVE_CELLS: frozenset[str] = frozenset({"figure2.parallel"})
-
-#: Engine-overhead metrics of the ``parallel.overhead`` cell: parent-side
-#: telemetry merge bookkeeping, A/B'd between the streaming spool fold
-#: and the legacy pickled-state merge.  Millisecond-scale numbers on
-#: noisy shared runners — diff_perf surfaces drift as ``warn (engine)``
-#: but never gates on it.  Maps metric name -> True when higher is
-#: better (speedups), False when lower is better (seconds, bytes).
-ENGINE_METRICS: dict[str, bool] = {
-    "merge_speedup": True,
-    "merge_s_spool": False,
-    "bytes_spool": False,
-}
-
 
 # ----------------------------------------------------------------------
 # measurement cells
@@ -474,62 +456,6 @@ def bench_select_vectorized(n_nodes: int = 10_000, k: int = 64,
             "selects_per_s_scalar": rounds / scalar_s,
             "speedup_vs_scalar": scalar_s / max(vec_s, 1e-9),
             "n_nodes": float(n_nodes), "k": float(k)}
-
-
-def bench_parallel_overhead(scale: float = 0.05,
-                            seeds: tuple[int, ...] = (1, 2, 3),
-                            jobs: int = 2) -> dict[str, float]:
-    """Parent-side telemetry merge cost of a traced parallel sweep, A/B.
-
-    Runs the full Figure 2 grid (4 scenarios x 3 matchmakers x 3 seeds =
-    36 cells) with message-level tracing attached, once per merge mode:
-    the legacy path (``REPRO_PARALLEL_MERGE=pickled`` — workers pickle
-    their whole bus/metrics state, the parent unpickles and re-merges
-    record by record) and the streaming spool fold that replaced it.
-    ``merge_s_*`` is the parent's cumulative fold wall time as reported
-    by the engine's own telemetry (:func:`repro.experiments.parallel.
-    engine_stats`); ``bytes_*`` the serialized payload moved from workers
-    to parent.  Fixed size and scale — comparable across
-    ``REPRO_BENCH_SCALE`` values.  The timing cache is disabled so both
-    runs plan from identical cost estimates.
-    """
-    from repro.experiments import parallel, run_figure2
-    from repro.telemetry.core import Telemetry
-
-    overrides = {"probe_mode": "rpc", "dispatch_ack": True}
-    saved = {k: os.environ.get(k)
-             for k in (parallel.ENV_MERGE, parallel.ENV_TIMING_CACHE)}
-    os.environ[parallel.ENV_TIMING_CACHE] = "off"
-    merge_s: dict[str, float] = {}
-    payload: dict[str, float] = {}
-    wall_total = 0.0
-    try:
-        for mode in ("pickled", "spool"):
-            os.environ[parallel.ENV_MERGE] = mode
-            parallel.reset_engine_stats()
-            tel = Telemetry()
-            t0 = perf_counter()
-            run_figure2(scale=scale, seeds=seeds, telemetry=tel, jobs=jobs,
-                        grid_overrides=overrides)
-            wall_total += perf_counter() - t0
-            stats = parallel.engine_stats()[-1]
-            merge_s[mode] = stats.merge_s
-            payload[mode] = float(stats.payload_bytes)
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-        parallel.reset_engine_stats()
-    return {"wall_s": wall_total, "cells": float(4 * 3 * len(seeds)),
-            "jobs": float(jobs),
-            "merge_s_pickled": merge_s["pickled"],
-            "merge_s_spool": merge_s["spool"],
-            "merge_speedup": merge_s["pickled"] / max(merge_s["spool"], 1e-9),
-            "bytes_pickled": payload["pickled"],
-            "bytes_spool": payload["spool"],
-            "bytes_ratio": payload["pickled"] / max(payload["spool"], 1.0)}
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,6 @@ from perf import (
     bench_large_scale_grid,
     bench_latency_sampling,
     bench_message_throughput,
-    bench_parallel_overhead,
     bench_rntree_maintenance,
     bench_scenario_flash_crowd,
     bench_select_vectorized,
@@ -59,7 +58,6 @@ def test_perf_trajectory(benchmark):
         entries["scenario.flash_crowd"] = bench_scenario_flash_crowd()
         entries["grid.correlated_failure"] = bench_grid_correlated_failure()
         entries["select.vectorized"] = bench_select_vectorized()
-        entries["parallel.overhead"] = bench_parallel_overhead()
         return entries
 
     benchmark.pedantic(measure, rounds=1, iterations=1)
@@ -86,19 +84,6 @@ def test_perf_trajectory(benchmark):
         assert speedup >= 1.5, (
             f"parallel figure2 speedup {speedup:.2f}x < 1.5x on a "
             f"{os.cpu_count()}-core host")
-
-    # The streaming spool fold must stay decisively faster than the
-    # legacy pickled-state merge it replaced.  Parent-side work only, so
-    # this holds on any core count; the floor is below the ~2x the
-    # committed baseline records to absorb shared-runner noise.
-    overhead = written["entries"]["parallel.overhead"]
-    assert overhead["merge_speedup"] >= 1.4, (
-        f"spool merge only {overhead['merge_speedup']:.2f}x faster than "
-        f"the pickled-state path ({overhead['merge_s_spool'] * 1e3:.1f}ms "
-        f"vs {overhead['merge_s_pickled'] * 1e3:.1f}ms)")
-    assert overhead["bytes_spool"] < overhead["bytes_pickled"], (
-        f"spool payload ({overhead['bytes_spool']:.0f} B) not smaller "
-        f"than pickled-state payload ({overhead['bytes_pickled']:.0f} B)")
 
     baseline = load_baseline()
     if baseline is not None and \

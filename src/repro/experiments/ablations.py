@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.parallel import map_cells
-from repro.experiments.runner import (build_population, run_workload,
-                                      workload_call)
+from repro.experiments.parallel import call, map_cells
+from repro.experiments.runner import build_population, run_workload
 from repro.grid.system import DEFAULT_MAX_TIME, DesktopGrid, GridConfig
 from repro.match import make_matchmaker
 from repro.metrics.report import format_table
@@ -91,8 +90,8 @@ def run_virtual_dimension_ablation(scale: float = 0.2, seed: int = 1,
     )
     outcomes = map_cells(
         run_workload,
-        [workload_call(workload, "can", seed=seed, mm_kwargs=kwargs,
-                       max_time=max_time) for _label, kwargs in variants],
+        [call(workload, "can", seed=seed, mm_kwargs=kwargs,
+              max_time=max_time) for _label, kwargs in variants],
         jobs=jobs)
     for (label, _kwargs), outcome in zip(variants, outcomes):
         s = outcome.summary
@@ -137,8 +136,8 @@ def run_k_sweep_ablation(ks: tuple[int, ...] = (1, 2, 4, 8),
     result = KSweepResult()
     outcomes = map_cells(
         run_workload,
-        [workload_call(workload, "rn-tree", seed=seed, mm_kwargs={"k": k},
-                       max_time=max_time) for k in ks],
+        [call(workload, "rn-tree", seed=seed, mm_kwargs={"k": k},
+              max_time=max_time) for k in ks],
         jobs=jobs)
     for k, outcome in zip(ks, outcomes):
         s = outcome.summary
@@ -186,8 +185,8 @@ def run_ttl_ablation(scale: float = 0.2, seed: int = 1, ttl: int | None = 6,
     cells = (("ttl-walk", {"ttl": ttl}), ("rn-tree", {}), ("can", {}))
     outcomes = map_cells(
         run_workload,
-        [workload_call(workload, mm, seed=seed, mm_kwargs=kwargs,
-                       max_time=max_time) for mm, kwargs in cells],
+        [call(workload, mm, seed=seed, mm_kwargs=kwargs,
+              max_time=max_time) for mm, kwargs in cells],
         jobs=jobs)
     for (mm, _kwargs), outcome in zip(cells, outcomes):
         s = outcome.summary

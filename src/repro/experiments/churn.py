@@ -166,8 +166,7 @@ def run_churn_experiment(config: ChurnConfig | None = None,
     result = ChurnResult(config=cc)
     summaries = map_cells(
         _run_system,
-        [call(cc, system, seed).with_cost(kind=f"churn:{system}")
-         for system in systems for seed in seeds],
+        [call(cc, system, seed) for system in systems for seed in seeds],
         jobs=jobs)
     for i, system in enumerate(systems):
         per_seed = summaries[i * len(seeds):(i + 1) * len(seeds)]

@@ -21,7 +21,7 @@ from repro.dht.can import CANNode, CANOverlay
 from repro.dht.chord import ChordOverlay
 from repro.dht.kademlia import KademliaOverlay
 from repro.dht.pastry import PastryOverlay
-from repro.experiments.parallel import call, map_cells, sharded
+from repro.experiments.parallel import call, map_cells
 from repro.metrics.report import format_table
 from repro.util.ids import guid_for
 from repro.util.rng import RngStreams
@@ -102,8 +102,8 @@ class DHTScalingResult:
         }
 
 
-#: Shard axis of one size cell: each substrate draws from its own
-#: (seed, name)-keyed streams, so the four runs are independent.
+#: The substrates of one size: each draws from its own (seed, name)-keyed
+#: streams, so the four runs are independent cells.
 SUBSTRATES: tuple[str, ...] = ("chord", "pastry", "kademlia", "can")
 
 
@@ -111,11 +111,11 @@ def _run_substrate_cell(substrate: str, n: int, lookups: int,
                         can_dims: int, seed: int) -> dict[str, float]:
     """Lookup-cost mean for *one* substrate at one population size.
 
-    One shard of a size cell.  A fresh ``RngStreams(seed)`` yields
-    streams bit-identical to the historical shared instance: stream
-    derivation is (seed, name) keyed and every name here embeds both the
-    substrate and ``n``, so shards are independent of each other and of
-    which process runs them.
+    One cell of the sweep.  A fresh ``RngStreams(seed)`` yields streams
+    bit-identical to the historical shared instance: stream derivation is
+    (seed, name) keyed and every name here embeds both the substrate and
+    ``n``, so cells are independent of each other and of which process
+    runs them.
     """
     t0 = perf_counter()
     streams = RngStreams(seed)
@@ -151,11 +151,11 @@ def _run_substrate_cell(substrate: str, n: int, lookups: int,
 
 
 def _reduce_size_cell(parts: list[dict[str, float]]) -> dict[str, float]:
-    """Reassemble substrate shards into one size-cell result.
+    """Reassemble one size's substrate cells into one size-cell result.
 
-    Hop means pass through untouched; ``wall_s`` sums (the cell's cost
-    is the work done for it, wherever it ran — the budget guard keeps
-    its meaning under sharding)."""
+    Hop means pass through untouched; ``wall_s`` sums (the size's cost
+    is the work done for it, wherever each substrate ran — the budget
+    guard keeps its meaning under ``--jobs``)."""
     out: dict[str, float] = {}
     wall = 0.0
     for p in parts:
@@ -168,34 +168,12 @@ def _reduce_size_cell(parts: list[dict[str, float]]) -> dict[str, float]:
     return out
 
 
-def _run_size_cell(n: int, lookups: int, can_dims: int,
-                   seed: int) -> dict[str, float]:
-    """Lookup-cost means for every substrate at one population size.
-
-    The unsharded form — all four substrates in one process — kept as
-    the witness that sharding is a pure transport change: it runs the
-    same shards sequentially through the same reducer."""
-    return _reduce_size_cell(
-        [_run_substrate_cell(s, n, lookups, can_dims, seed)
-         for s in SUBSTRATES])
-
-
-def _substrate_cost(substrate: str, n: int) -> float:
-    """Relative cost hint per shard: every substrate pays ~N log N for
-    the build, Pastry with a far heavier constant (its routing tables
-    dominate past ~4k nodes) and CAN with its join-split overhead."""
-    base = float(n) * max(float(np.log2(n)), 1.0)
-    factor = {"chord": 1.0, "pastry": 3.0, "kademlia": 1.5, "can": 2.0}
-    return base * factor[substrate]
-
-
 def run_dht_scaling(sizes: tuple[int, ...] = (64, 128, 256, 512, 1024),
                     lookups: int = 300, can_dims: int = 4,
                     seed: int = 1,
                     include_large: bool = False,
                     cell_budget_s: float = DEFAULT_CELL_BUDGET_S,
-                    jobs: int | None = None,
-                    shard_cells: bool = True) -> DHTScalingResult:
+                    jobs: int | None = None) -> DHTScalingResult:
     """Lookup-cost scaling across all four substrates.
 
     ``include_large`` appends :data:`LARGE_SIZES` (2048/4096/10000) to
@@ -203,32 +181,26 @@ def run_dht_scaling(sizes: tuple[int, ...] = (64, 128, 256, 512, 1024),
     ``cell_budget_s``: exceeding it is recorded in the result's
     ``over_budget`` flags (and the report column), not raised.
 
-    ``shard_cells`` (default on) declares each size cell as four
-    per-substrate shards, so ``--jobs`` can split even a single heavy
-    size (a 10k-node Pastry build no longer serializes the whole cell);
-    results are identical either way.
+    Every (substrate, size) pair is its own cell, so ``--jobs`` can split
+    even a single heavy size (a 10k-node Pastry build does not serialize
+    the other three substrates behind it).
     """
     if include_large:
         sizes = tuple(sizes) + tuple(n for n in LARGE_SIZES
                                      if n not in sizes)
     result = DHTScalingResult(sizes=sizes, can_dims=can_dims,
                               cell_budget_s=cell_budget_s)
-    if shard_cells:
-        cells_spec = [
-            sharded(_run_substrate_cell,
-                    [call(s, n, lookups, can_dims, seed).with_cost(
-                        cost=_substrate_cost(s, n), kind=f"dht:{s}:n{n}")
-                     for s in SUBSTRATES],
-                    _reduce_size_cell, kind=f"dht:size:n{n}")
-            for n in sizes
-        ]
-    else:
-        cells_spec = [call(n, lookups, can_dims, seed).with_cost(
-                          cost=sum(_substrate_cost(s, n)
-                                   for s in SUBSTRATES),
-                          kind=f"dht:size:n{n}")
-                      for n in sizes]
-    cells = map_cells(_run_size_cell, cells_spec, jobs=jobs)
+    # Largest size first: the Pastry build grows ~N log N, so the last
+    # size's cells would otherwise start last and straggle the pool.
+    order = sorted(set(sizes), reverse=True)
+    parts = map_cells(_run_substrate_cell,
+                      [call(s, n, lookups, can_dims, seed)
+                       for n in order for s in SUBSTRATES],
+                      jobs=jobs)
+    k = len(SUBSTRATES)
+    by_size = {n: _reduce_size_cell(parts[j * k:(j + 1) * k])
+               for j, n in enumerate(order)}
+    cells = [by_size[n] for n in sizes]
     for name in ("chord", "pastry", "kademlia", "can"):
         result.mean_hops[name] = [cell[name] for cell in cells]
     result.wall_s = [cell["wall_s"] for cell in cells]

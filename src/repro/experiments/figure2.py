@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.parallel import map_cells
-from repro.experiments.runner import (aggregate_outcomes, run_workload,
-                                      workload_call)
+from repro.experiments.parallel import call, map_cells
+from repro.experiments.runner import aggregate_outcomes, run_workload
 from repro.grid.system import DEFAULT_MAX_TIME
 from repro.metrics.report import format_barchart, format_table
 from repro.workloads.spec import FIGURE2_SCENARIOS, WorkloadConfig
@@ -181,8 +180,8 @@ def run_figure2(scale: float = 0.25, seeds: tuple[int, ...] = (1,),
     groups = [(scenario, mm) for scenario in scenarios for mm in matchmakers]
     outcomes = map_cells(
         run_workload,
-        [workload_call(scenarios[scenario], mm, seed=s, max_time=max_time,
-                       grid_overrides=grid_overrides)
+        [call(scenarios[scenario], mm, seed=s, max_time=max_time,
+              grid_overrides=grid_overrides)
          for scenario, mm in groups for s in seeds],
         jobs=jobs, telemetry=telemetry)
     for i, (scenario, mm) in enumerate(groups):

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.experiments.parallel import map_cells
-from repro.experiments.runner import run_workload, workload_call
+from repro.experiments.parallel import call, map_cells
+from repro.experiments.runner import run_workload
 from repro.grid.system import DEFAULT_MAX_TIME
 from repro.metrics.report import format_table
 from repro.workloads.spec import FIGURE2_SCENARIOS
@@ -78,7 +78,7 @@ def run_hops_experiment(scale: float = 0.25, seed: int | None = None,
               for mm in matchmakers]
     outcomes = map_cells(
         run_workload,
-        [workload_call(wl, mm, seed=s, max_time=max_time)
+        [call(wl, mm, seed=s, max_time=max_time)
          for _scenario, wl, mm in groups for s in seeds],
         jobs=jobs, telemetry=telemetry)
     for i, (scenario, _wl, mm) in enumerate(groups):

@@ -188,8 +188,7 @@ def run_matchpipe_ablation(config: MatchPipeConfig | None = None,
               for policy in SELECTION_POLICIES]
     summaries = map_cells(
         _run_cell,
-        [call(cc, probe_mode, policy, seed).with_cost(
-            kind=f"matchpipe:{probe_mode}:{policy}")
+        [call(cc, probe_mode, policy, seed)
          for probe_mode, policy in groups for seed in seeds],
         jobs=jobs)
     for i, (probe_mode, policy) in enumerate(groups):

@@ -1,56 +1,28 @@
-"""Process-parallel sweep engine shared by every experiment driver (v2).
+"""Process-parallel sweep engine shared by every experiment driver.
 
 Every experiment is a grid of independent (workload, matchmaker, seed)
 cells, and each cell owns its RNG (:class:`repro.util.rng.RngStreams` is
 seed+name keyed), so cells can run in worker processes and produce
 outcomes *bit-identical* to the serial loop.  :func:`map_cells` is the one
-fan-out primitive; v2 layers three mechanisms on the v1 pool:
+fan-out primitive: an ordered pool map.  It submits one future per cell
+in declaration order and collects the results in that same order; a
+traced worker spools its telemetry to a chunked columnar file
+(:mod:`repro.telemetry.spool`) that the parent folds as the cell's result
+is collected.
 
-**Cost-aware scheduling.**  Each prepared :class:`Call` carries an
-optional cost hint and a cell *kind*; a persisted per-kind timing cache
-(``benchmarks/reports/cell_timings.json``, refreshed after every parallel
-sweep) refines the hints with measured wall times.  Work is submitted
-longest-processing-time first and collected with ``as_completed``, so a
-heavy churn or large-scale cell starts immediately instead of straggling
-the sweep from the tail of a FIFO queue.  Scheduling affects *when* a
-cell runs, never *what* it computes — results are re-ordered to
-submission order and telemetry is folded in submission order, so the
-output is independent of completion order (enforced by a forced-order
-test hook).
+Determinism contract:
 
-**Streaming result merge.**  Workers spool their telemetry to chunked
-columnar files (:mod:`repro.telemetry.spool`) that the parent folds
-incrementally as each future completes, replacing the v1 one-shot
-pickled ``state()`` round trip — about half the parent-side merge wall
-time and one chunk (not one full worker stream) of peak memory.
-``REPRO_PARALLEL_MERGE=pickled`` selects the legacy path (kept as the
-in-repo A/B baseline for the ``parallel.overhead`` bench cell).  The
-engine records self-telemetry — per-unit serialized bytes, merge
-seconds, worker utilization — retrievable via :func:`engine_stats` and
-surfaced by ``repro run --jobs N --engine-stats``.
-
-**Intra-cell sharding and tiny-cell batching.**  A driver whose cell is
-internally a sweep (e.g. one ``dht_scaling`` size runs four substrates)
-can declare it as a :class:`ShardedCall`: the shards fan out as
-independent units and a module-level reducer reassembles the cell result
-after the deterministic merge.  At the other extreme, many sub-second
-cells are batched into one future to amortize per-future IPC; both
-transforms preserve unit order, so the fold is unchanged.
-
-Determinism contract (unchanged from v1):
-
-* With ``jobs=1`` the cells run in-process through the exact historical
-  code path (including a shared parent telemetry, when given); sharded
-  cells run their shards sequentially in declaration order.
-* With ``jobs>1`` each unit's result is produced by the same function
+* With ``jobs=1`` the cells run in-process, in order, sharing the
+  caller's telemetry (when given).
+* With ``jobs>1`` each cell's result is produced by the same function
   with the same arguments in a fresh process, and worker metric *and
   trace-bus* states are folded in submission order — counters,
-  histograms, final gauge values, and the span stream all match the
-  serial run (histogram running *totals* can differ in the last ulp:
-  float addition is not associative across the per-worker partial
-  sums).  Worker span ids are renumbered on fold so the combined stream
-  carries exactly the ids one shared serial bus would have allocated.
-  Kernel profiles remain per-process and stay in the worker.
+  histograms, final gauge values, the span stream and the final clock
+  all match the serial run (histogram running *totals* can differ in the
+  last ulp: float addition is not associative across the per-worker
+  partial sums).  Worker span ids are renumbered on fold so the combined
+  stream carries exactly the ids one shared serial bus would have
+  allocated.
 
 ``REPRO_JOBS`` supplies a default worker count when the caller does not
 pass one; ``0`` means "all cores".
@@ -58,78 +30,23 @@ pass one; ``0`` means "all cores".
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import os
-import pickle
 import shutil
 import tempfile
-import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 #: Environment variable consulted when no explicit ``jobs`` is given.
 ENV_JOBS = "REPRO_JOBS"
 
-#: Merge-path A/B flag: "spool" (default, streaming columnar fold) or
-#: "pickled" (v1 one-shot state round trip, kept for the overhead bench).
-ENV_MERGE = "REPRO_PARALLEL_MERGE"
-
-#: Timing-cache override: unset = repo default path, a path = use it,
-#: "off"/"none"/"0" = disable persistence for this run.
-ENV_TIMING_CACHE = "REPRO_TIMING_CACHE"
-
-#: A batch targets roughly 1/(jobs × oversubscription) of the sweep's
-#: total estimated cost, so each worker sees ~4 futures — enough slack
-#: for LPT to balance heterogeneous tails, few enough to amortize IPC.
-BATCH_OVERSUB = 4
-
 
 @dataclass(frozen=True)
 class Call:
-    """One prepared cell invocation, with optional scheduling hints.
-
-    ``cost`` is a relative size hint (any consistent unit — drivers use
-    node-count × job-count); ``kind`` names the cell's kind for the
-    persisted timing cache (cells of one kind are assumed to take
-    similar wall time).  Both are hints: they steer placement, never
-    results.
-    """
+    """One prepared cell invocation."""
 
     args: tuple = ()
     kwargs: dict = field(default_factory=dict)
-    cost: float | None = None
-    kind: str | None = None
-
-    def with_cost(self, cost: float | None = None,
-                  kind: str | None = None) -> "Call":
-        """Attach scheduling hints (returns a new Call)."""
-        return dataclasses.replace(self, cost=cost if cost is not None
-                                   else self.cost,
-                                   kind=kind if kind is not None
-                                   else self.kind)
-
-
-@dataclass(frozen=True)
-class ShardedCall:
-    """A cell that fans out as independent sub-cells (shards).
-
-    ``fn`` runs one shard (module-level, like any cell function);
-    ``reduce`` (also module-level) reassembles the shard results — in
-    declaration order — into the cell result the driver's unsharded
-    function would have returned.  Shard contract: the shards must
-    partition the cell's work *and* its telemetry — running the shards
-    sequentially against one shared telemetry must equal running the
-    monolithic cell (each shard draws its own (seed, name)-keyed
-    streams, so splitting on the stream-name axis is always safe).
-    """
-
-    fn: Callable
-    shards: tuple[Call, ...]
-    reduce: Callable[[list], Any]
-    kind: str | None = None
 
 
 def call(*args: Any, **kwargs: Any) -> Call:
@@ -137,177 +54,22 @@ def call(*args: Any, **kwargs: Any) -> Call:
     return Call(args, kwargs)
 
 
-def sharded(fn: Callable, shards: Iterable[Call],
-            reduce: Callable[[list], Any],
-            kind: str | None = None) -> ShardedCall:
-    """Package a shardable cell (see :class:`ShardedCall`)."""
-    return ShardedCall(fn, tuple(shards), reduce, kind)
-
-
 def resolve_jobs(jobs: int | None = None) -> int:
     """Effective worker count: explicit argument, else ``$REPRO_JOBS``,
-    else 1.  Zero or negative means "one worker per core"."""
+    else 1.  Zero means "one worker per core"; a negative count or a
+    non-integer ``$REPRO_JOBS`` is an error."""
     if jobs is None:
+        raw = os.environ.get(ENV_JOBS, "1")
         try:
-            jobs = int(os.environ.get(ENV_JOBS, "1"))
+            jobs = int(raw)
         except ValueError:
-            jobs = 1
-    if jobs <= 0:
+            raise ValueError(f"${ENV_JOBS} must be an integer worker count, "
+                             f"got {raw!r}") from None
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0 (0 = all cores), got {jobs}")
+    if jobs == 0:
         jobs = os.cpu_count() or 1
-    return max(1, jobs)
-
-
-def resolve_merge_mode(merge_mode: str | None = None) -> str:
-    """Effective merge path: explicit argument, else
-    ``$REPRO_PARALLEL_MERGE``, else ``"spool"``."""
-    if merge_mode is None:
-        merge_mode = os.environ.get(ENV_MERGE, "spool")
-    if merge_mode not in ("spool", "pickled"):
-        raise ValueError(f"unknown merge mode {merge_mode!r} "
-                         "(expected 'spool' or 'pickled')")
-    return merge_mode
-
-
-# -- timing cache ---------------------------------------------------------
-
-
-class TimingCache:
-    """Persisted mean wall-seconds per cell kind.
-
-    Lives under ``benchmarks/reports/`` (git-ignored) so successive runs
-    — bench, CLI, tests — share what they learned about how long each
-    cell kind takes; the estimate feeds LPT placement and batch sizing.
-    Purely advisory: a cold, stale, or corrupt cache degrades placement,
-    never results.  The mean is an incremental average with the sample
-    count capped (recent runs keep ~1/64 weight), so estimates track
-    hardware and code changes instead of fossilizing.
-    """
-
-    CAP = 64
-
-    def __init__(self, path: str | Path | None):
-        self.path = Path(path) if path is not None else None
-        self._data: dict[str, dict[str, float]] = {}
-        self._dirty = False
-        if self.path is not None and self.path.exists():
-            try:
-                raw = json.loads(self.path.read_text())
-                if isinstance(raw, dict):
-                    self._data = {
-                        k: {"n": int(v["n"]), "mean_s": float(v["mean_s"])}
-                        for k, v in raw.items()
-                        if isinstance(v, dict) and "mean_s" in v
-                    }
-            except (OSError, ValueError, KeyError, TypeError):
-                self._data = {}
-
-    @classmethod
-    def default(cls) -> "TimingCache":
-        """The repo-default cache, honouring ``$REPRO_TIMING_CACHE``."""
-        env = os.environ.get(ENV_TIMING_CACHE)
-        if env is not None:
-            if env.strip().lower() in ("", "off", "none", "0"):
-                return cls(None)
-            return cls(env)
-        reports = Path(__file__).resolve().parents[3] / "benchmarks" / "reports"
-        if reports.is_dir():
-            return cls(reports / "cell_timings.json")
-        return cls(None)  # installed outside the repo: stay in-memory
-
-    def estimate(self, kind: str) -> float | None:
-        entry = self._data.get(kind)
-        return entry["mean_s"] if entry else None
-
-    def observe(self, kind: str, seconds: float) -> None:
-        entry = self._data.get(kind)
-        if entry is None:
-            self._data[kind] = {"n": 1, "mean_s": float(seconds)}
-        else:
-            n = min(int(entry["n"]), self.CAP - 1) + 1
-            entry["mean_s"] += (seconds - entry["mean_s"]) / n
-            entry["n"] = n
-        self._dirty = True
-
-    def save(self) -> None:
-        """Atomically persist (merging concurrent writers last-wins per
-        kind is acceptable: the cache is advisory)."""
-        if self.path is None or not self._dirty:
-            return
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = self.path.with_suffix(".tmp%d" % os.getpid())
-            tmp.write_text(json.dumps(self._data, indent=1, sort_keys=True))
-            os.replace(tmp, self.path)
-            self._dirty = False
-        except OSError:  # read-only checkout, races: placement hint only
-            pass
-
-
-# -- engine self-telemetry ------------------------------------------------
-
-
-@dataclass
-class EngineStats:
-    """Self-telemetry for one parallel :func:`map_cells` sweep."""
-
-    jobs: int
-    merge_mode: str
-    n_cells: int
-    n_units: int
-    n_batches: int
-    wall_s: float = 0.0
-    merge_s: float = 0.0          # parent-side telemetry fold wall
-    payload_bytes: int = 0        # serialized telemetry volume, all units
-    busy_s: float = 0.0           # sum of per-unit worker wall times
-    #: (kind, worker wall seconds, serialized bytes) per unit, unit order.
-    units: list[tuple[str, float, int]] = field(default_factory=list)
-
-    @property
-    def utilization(self) -> float:
-        """Worker busy time over worker capacity (1.0 = no idle slots)."""
-        cap = self.jobs * self.wall_s
-        return self.busy_s / cap if cap > 0 else 0.0
-
-    def render(self) -> str:
-        lines = [
-            f"parallel engine: {self.n_cells} cells -> {self.n_units} units"
-            f" -> {self.n_batches} batches, jobs={self.jobs},"
-            f" merge={self.merge_mode}",
-            f"  wall {self.wall_s:.2f}s  worker-busy {self.busy_s:.2f}s"
-            f"  utilization {self.utilization:.0%}",
-            f"  telemetry fold {self.merge_s * 1e3:.1f} ms,"
-            f" {self.payload_bytes:,} bytes serialized",
-        ]
-        slowest = sorted(self.units, key=lambda u: -u[1])[:5]
-        if slowest and slowest[0][1] > 0:
-            lines.append("  slowest units: " + " | ".join(
-                f"{kind} {wall:.2f}s" for kind, wall, _ in slowest))
-        return "\n".join(lines)
-
-
-#: Stats for every parallel sweep since the last reset, in run order
-#: (module-level so the CLI can report after a driver returns).
-_STATS: list[EngineStats] = []
-
-
-def engine_stats() -> list[EngineStats]:
-    """Stats of parallel sweeps since :func:`reset_engine_stats`."""
-    return list(_STATS)
-
-
-def reset_engine_stats() -> None:
-    _STATS.clear()
-
-
-def render_engine_stats() -> str:
-    """Human-readable report of all recorded sweeps (CLI helper)."""
-    if not _STATS:
-        return ("parallel engine: no parallel sweeps recorded "
-                "(serial path, or --jobs 1)")
-    return "\n".join(s.render() for s in _STATS)
-
-
-# -- worker side ----------------------------------------------------------
+    return jobs
 
 
 @dataclass(frozen=True)
@@ -317,10 +79,9 @@ class _TelemetrySpec:
     The worker's stack must filter and bound its bus exactly like the
     parent's, or the merged stream would diverge from the serial run —
     so the bus-shaping settings (categories, maxlen, flight ring) ride
-    along with the metrics-shaping ones.
+    along with the sampler interval.
     """
 
-    profile_kernel: bool
     sample_interval: float | None
     categories: frozenset[str] | None = None
     maxlen: int | None = None
@@ -332,301 +93,77 @@ class _TelemetrySpec:
             return None
         cats = telemetry.bus.categories
         flight = telemetry.flight
-        return cls(profile_kernel=telemetry.profile is not None,
-                   sample_interval=telemetry.sample_interval,
+        return cls(sample_interval=telemetry.sample_interval,
                    categories=frozenset(cats) if cats is not None else None,
                    maxlen=telemetry.bus.maxlen,
                    flight_ring=flight.maxlen if flight is not None else 0)
 
 
-def _run_units(units: list[tuple[int, Callable, tuple, dict]],
-               spec: _TelemetrySpec | None, merge_mode: str,
-               spool_dir: str | None):
-    """Worker-side execution of one batch (module-level so it pickles).
+def _run_cell(fn: Callable, c: Call, spec: _TelemetrySpec | None,
+              spool: str | None):
+    """Worker-side execution of one cell (module-level so it pickles).
 
-    Each unit runs against a *fresh* telemetry stack — batching changes
-    how units share a future, never how they share state — and ships its
-    telemetry either as a spool file path or a pickled-state blob,
-    tagged with serialized size and worker wall seconds.
+    A traced cell runs against a fresh telemetry stack and spools it to
+    ``spool`` for the parent to fold.
     """
-    out = []
-    for index, fn, args, kwargs in units:
-        t0 = time.perf_counter()
-        if spec is None:
-            result = fn(*args, **kwargs)
-            payload, nbytes = None, 0
-        else:
-            from repro.telemetry.core import Telemetry
-            from repro.telemetry.spool import write_spool
+    if spec is None:
+        return fn(*c.args, **c.kwargs)
+    from repro.telemetry.core import Telemetry
+    from repro.telemetry.spool import write_spool
 
-            tel = Telemetry(categories=spec.categories, maxlen=spec.maxlen,
-                            profile_kernel=spec.profile_kernel,
-                            sample_interval=spec.sample_interval,
-                            flight_ring=spec.flight_ring)
-            result = fn(*args, telemetry=tel, **kwargs)
-            if merge_mode == "spool":
-                payload = os.path.join(spool_dir, f"u{index:06d}.spool")
-                nbytes = write_spool(payload, tel)
-            else:
-                payload = pickle.dumps(
-                    (tel.metrics.state(), tel.bus.state()),
-                    protocol=pickle.HIGHEST_PROTOCOL)
-                nbytes = len(payload)
-        out.append((index, result, payload, nbytes,
-                    time.perf_counter() - t0))
-    return out
+    tel = Telemetry(categories=spec.categories, maxlen=spec.maxlen,
+                    sample_interval=spec.sample_interval,
+                    flight_ring=spec.flight_ring)
+    result = fn(*c.args, telemetry=tel, **c.kwargs)
+    write_spool(spool, tel)
+    return result
 
 
-# -- parent side ----------------------------------------------------------
+def map_cells(fn: Callable, calls: Iterable[Call], *,
+              jobs: int | None = None, telemetry=None) -> list:
+    """Run ``fn`` on every prepared call; results come back in call order.
 
+    ``fn`` must be module-level (it pickles for ``jobs>1``); ``jobs=None``
+    consults ``$REPRO_JOBS`` (default 1).  A serial run passes
+    ``telemetry`` straight into ``fn``; a parallel run gives each cell a
+    fresh stack and folds the spools back in submission order.
 
-@dataclass
-class _Unit:
-    """One schedulable work item (a plain cell, or one shard of one)."""
-
-    index: int            # global submission/fold order
-    cell: int             # index into the cell list
-    fn: Callable
-    args: tuple
-    kwargs: dict
-    cost: float = 1.0
-    kind: str = "?"
-
-
-def _as_call(obj) -> Call | ShardedCall:
-    if isinstance(obj, (Call, ShardedCall)):
-        return obj
-    # v1 compatibility: a bare (args, kwargs) tuple.
-    if (isinstance(obj, tuple) and len(obj) == 2
-            and isinstance(obj[0], tuple) and isinstance(obj[1], dict)):
-        return Call(obj[0], obj[1])
-    raise TypeError(f"not a prepared call: {obj!r}")
-
-
-def _metadata_cost(args: tuple, kwargs: dict) -> float | None:
-    """Size heuristic from cell metadata: any argument exposing
-    ``n_nodes`` (workload/scenario configs) contributes nodes × jobs."""
-    best = None
-    for v in (*args, *kwargs.values()):
-        n_nodes = getattr(v, "n_nodes", None)
-        if n_nodes is None:
-            continue
-        est = float(n_nodes) * float(getattr(v, "n_jobs", 1) or 1)
-        if best is None or est > best:
-            best = est
-    return best
-
-
-def _estimate(c: Call, fn: Callable, cache: TimingCache) -> tuple[float, str]:
-    """(cost, kind) for one unit.  Precedence: measured cache mean for
-    the kind (seconds, comparable across kinds) > the driver's explicit
-    hint > metadata heuristic > 1.0."""
-    kind = c.kind or f"{getattr(fn, '__module__', '?')}" \
-                     f".{getattr(fn, '__qualname__', repr(fn))}"
-    measured = cache.estimate(kind)
-    if measured is not None:
-        return measured, kind
-    if c.cost is not None:
-        return float(c.cost), kind
-    meta = _metadata_cost(c.args, c.kwargs)
-    return (meta if meta is not None else 1.0), kind
-
-
-def _plan_units(fn: Callable, calls: Sequence[Call | ShardedCall],
-                cache: TimingCache) -> list[_Unit]:
-    """Flatten cells (expanding shards) into submission-ordered units."""
-    units: list[_Unit] = []
-    for ci, c in enumerate(calls):
-        if isinstance(c, ShardedCall):
-            for s in c.shards:
-                shard = s if s.kind is not None else s.with_cost(kind=c.kind)
-                cost, kind = _estimate(shard, c.fn, cache)
-                units.append(_Unit(len(units), ci, c.fn, s.args, s.kwargs,
-                                   cost, kind))
-        else:
-            cost, kind = _estimate(c, fn, cache)
-            units.append(_Unit(len(units), ci, fn, c.args, c.kwargs,
-                               cost, kind))
-    return units
-
-
-def _plan_batches(units: list[_Unit], n_jobs: int,
-                  batch: bool) -> list[list[_Unit]]:
-    """Group submission-ordered units into batches (contiguous runs, so
-    the in-order fold is untouched).  Greedy fill toward a target of
-    total/(jobs × oversubscription): sweeps of many tiny cells collapse
-    into a few futures, while any unit at or above the target stays a
-    singleton — a heavy cell is never welded to a straggler."""
-    if not batch or len(units) <= n_jobs:
-        return [[u] for u in units]
-    total = sum(u.cost for u in units)
-    target = total / (n_jobs * BATCH_OVERSUB)
-    batches: list[list[_Unit]] = []
-    cur: list[_Unit] = []
-    cur_cost = 0.0
-    for u in units:
-        cur.append(u)
-        cur_cost += u.cost
-        if cur_cost >= target:
-            batches.append(cur)
-            cur, cur_cost = [], 0.0
-    if cur:
-        batches.append(cur)
-    return batches
-
-
-def _fold_payload(telemetry, merge_mode: str, payload) -> None:
-    """Fold one unit's telemetry into the parent (submission order)."""
-    if payload is None or telemetry is None:
-        return
-    if merge_mode == "spool":
-        from repro.telemetry.spool import fold_spool
-
-        fold_spool(payload, telemetry)
-        try:
-            os.unlink(payload)
-        except OSError:
-            pass
-    else:
-        metric_state, bus_state = pickle.loads(payload)
-        telemetry.metrics.merge(metric_state)
-        telemetry.bus.merge(bus_state)
-
-
-def _run_serial(fn: Callable, calls: Sequence[Call | ShardedCall],
-                telemetry) -> list:
-    """The exact historical in-process path (shared telemetry)."""
-    results = []
-    for c in calls:
-        if isinstance(c, ShardedCall):
-            if telemetry is None:
-                parts = [c.fn(*s.args, **s.kwargs) for s in c.shards]
-            else:
-                parts = [c.fn(*s.args, telemetry=telemetry, **s.kwargs)
-                         for s in c.shards]
-            results.append(c.reduce(parts))
-        elif telemetry is None:
-            results.append(fn(*c.args, **c.kwargs))
-        else:
-            results.append(fn(*c.args, telemetry=telemetry, **c.kwargs))
-    return results
-
-
-def map_cells(fn: Callable, calls: Iterable[Call | ShardedCall], *,
-              jobs: int | None = None, telemetry=None,
-              merge_mode: str | None = None, batch: bool = True,
-              _completion_order: Callable | None = None) -> list:
-    """Run every prepared call and return results in submission order.
-
-    Parameters
-    ----------
-    fn:
-        The cell function for plain :class:`Call` entries (module-level:
-        it must pickle for ``jobs>1``).  :class:`ShardedCall` entries
-        carry their own shard function and ignore ``fn``.
-    calls:
-        Prepared invocations (:func:`call` / :func:`sharded`).  Results
-        come back in this order regardless of completion order.
-    jobs:
-        Worker processes; ``None`` consults ``$REPRO_JOBS`` (default 1).
-    telemetry:
-        Optional parent :class:`~repro.telemetry.Telemetry`.  Serial runs
-        pass it straight into ``fn`` (shared accumulation, historical
-        behavior); parallel runs give each unit a fresh stack and fold
-        the streams back in submission order.
-    merge_mode:
-        ``"spool"`` | ``"pickled"`` | None (consult
-        ``$REPRO_PARALLEL_MERGE``, default spool).  Both paths produce
-        identical merged telemetry; pickled is the v1 baseline kept for
-        the overhead bench.
-    batch:
-        Allow tiny-cell batching (see :func:`_plan_batches`).
-    _completion_order:
-        Test hook: maps the submitted future list to a collection
-        iterable, replacing ``as_completed`` — determinism tests force
-        adversarial completion orders through it.  Not for callers.
-
-    On a cell failure the engine cancels all not-yet-running futures and
-    shuts the pool down eagerly (running cells finish and are
-    discarded), then re-raises the cell's exception.
+    On a cell failure the pool cancels every not-yet-running cell and
+    shuts down without waiting (running cells finish and are discarded),
+    then the cell's exception is re-raised.
     """
-    calls = [_as_call(c) for c in calls]
+    calls = list(calls)
     if telemetry is not None and not telemetry.enabled:
         telemetry = None
-    n_units = sum(len(c.shards) if isinstance(c, ShardedCall) else 1
-                  for c in calls)
-    n_jobs = min(resolve_jobs(jobs), max(n_units, 1))
+    n_jobs = min(resolve_jobs(jobs), max(len(calls), 1))
     if n_jobs <= 1:
-        return _run_serial(fn, calls, telemetry)
+        if telemetry is None:
+            return [fn(*c.args, **c.kwargs) for c in calls]
+        return [fn(*c.args, telemetry=telemetry, **c.kwargs) for c in calls]
 
-    merge_mode = resolve_merge_mode(merge_mode)
-    cache = TimingCache.default()
-    units = _plan_units(fn, calls, cache)
-    batches = _plan_batches(units, n_jobs, batch)
-    # LPT: heaviest batch first; ties broken by submission order so the
-    # schedule itself is deterministic.
-    order = sorted(range(len(batches)),
-                   key=lambda i: (-sum(u.cost for u in batches[i]), i))
+    from repro.telemetry.spool import fold_spool
+
     spec = _TelemetrySpec.of(telemetry)
-    spool_dir = (tempfile.mkdtemp(prefix="repro-spool-")
-                 if spec is not None and merge_mode == "spool" else None)
-    stats = EngineStats(jobs=n_jobs, merge_mode=merge_mode,
-                        n_cells=len(calls), n_units=len(units),
-                        n_batches=len(batches))
-    unit_result: dict[int, Any] = {}
-    unit_meta: dict[int, tuple[str, float, int]] = {}
-    t0 = time.perf_counter()
+    spool_dir = tempfile.mkdtemp(prefix="repro-spool-") \
+        if spec is not None else None
+    spools = [os.path.join(spool_dir, f"c{i:06d}.spool")
+              if spool_dir is not None else None for i in range(len(calls))]
     pool = ProcessPoolExecutor(max_workers=n_jobs)
     try:
-        futures = [
-            pool.submit(_run_units,
-                        [(u.index, u.fn, u.args, u.kwargs)
-                         for u in batches[bi]],
-                        spec, merge_mode, spool_dir)
-            for bi in order
-        ]
-        completed = (as_completed(futures) if _completion_order is None
-                     else _completion_order(list(futures)))
-        pending: dict[int, Any] = {}
-        next_fold = 0
-        for fut in completed:
-            try:
-                batch_out = fut.result()
-            except BaseException:
-                for f in futures:
-                    f.cancel()
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-            for index, result, payload, nbytes, wall in batch_out:
-                unit_result[index] = result
-                unit_meta[index] = (units[index].kind, wall, nbytes)
-                pending[index] = payload
-                stats.payload_bytes += nbytes
-                stats.busy_s += wall
-            # Fold strictly in submission order: everything contiguous
-            # from the fold pointer is ready, the rest waits in pending.
-            while next_fold in pending:
-                payload = pending.pop(next_fold)
-                tm = time.perf_counter()
-                _fold_payload(telemetry, merge_mode, payload)
-                stats.merge_s += time.perf_counter() - tm
-                next_fold += 1
+        futures = [pool.submit(_run_cell, fn, c, spec, spool)
+                   for c, spool in zip(calls, spools)]
+        results = []
+        for fut, spool in zip(futures, spools):
+            results.append(fut.result())
+            if spool is not None:
+                fold_spool(spool, telemetry)
+                os.unlink(spool)
+    except BaseException:
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    else:
         pool.shutdown(wait=True)
     finally:
         if spool_dir is not None:
             shutil.rmtree(spool_dir, ignore_errors=True)
-    stats.wall_s = time.perf_counter() - t0
-    stats.units = [unit_meta[i] for i in range(len(units))]
-    for kind, wall, _ in stats.units:
-        cache.observe(kind, wall)
-    cache.save()
-    _STATS.append(stats)
-
-    results = []
-    for ci, c in enumerate(calls):
-        mine = [unit_result[u.index] for u in units if u.cell == ci]
-        if isinstance(c, ShardedCall):
-            results.append(c.reduce(mine))
-        else:
-            results.append(mine[0])
     return results

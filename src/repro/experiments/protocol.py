@@ -154,12 +154,7 @@ def run_protocol_experiment(config: ProtocolConfig | None = None,
     cc = config or ProtocolConfig()
     result = ProtocolResult(config=cc)
     summaries = map_cells(
-        _run_one,
-        # Shorter maintenance intervals mean proportionally more protocol
-        # traffic to simulate — 1/interval is the size driver here.
-        [call(cc, interval).with_cost(cost=1.0 / max(interval, 1e-9),
-                                      kind=f"protocol:i{interval:g}")
-         for interval in cc.intervals],
+        _run_one, [call(cc, interval) for interval in cc.intervals],
         jobs=jobs)
     for interval, summary in zip(cc.intervals, summaries):
         result.by_interval[interval] = summary

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.parallel import map_cells
-from repro.experiments.runner import (aggregate_outcomes, run_workload,
-                                      workload_call)
+from repro.experiments.parallel import call, map_cells
+from repro.experiments.runner import aggregate_outcomes, run_workload
 from repro.grid.system import DEFAULT_MAX_TIME
 from repro.metrics.report import format_table
 from repro.workloads.spec import FIGURE2_SCENARIOS
@@ -60,7 +59,7 @@ def run_pushing_experiment(scale: float = 0.25, seeds: tuple[int, ...] = (1,),
     matchmakers = ("can", "can-push", "centralized")
     outcomes = map_cells(
         run_workload,
-        [workload_call(workload, mm, seed=s, max_time=max_time)
+        [call(workload, mm, seed=s, max_time=max_time)
          for mm in matchmakers for s in seeds],
         jobs=jobs, telemetry=telemetry)
     for i, mm in enumerate(matchmakers):

@@ -21,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.experiments.parallel import Call, call, map_cells
+from repro.experiments.parallel import call, map_cells
 from repro.grid.job import Job
 from repro.grid.system import DEFAULT_MAX_TIME, DesktopGrid, GridConfig
 from repro.match import make_matchmaker
@@ -77,22 +77,6 @@ def drive(grid: DesktopGrid, workload: WorkloadConfig,
         job = Job(profile=sj.profile(client.node_id))
         grid.submit_at(sj.submit_time, client, job)
     return grid.run_until_done(max_time=max_time)
-
-
-def workload_call(workload: WorkloadConfig, matchmaker: str,
-                  **kwargs: Any) -> Call:
-    """Prepare one :func:`run_workload` cell with scheduling hints.
-
-    The cost hint is the workload's node-count × job-count (the dominant
-    wall-time drivers); the kind keys the engine's persisted timing
-    cache, grouping cells that should take similar time — same
-    matchmaker, same population size.  Hints steer LPT placement and
-    tiny-cell batching only; they never affect results.
-    """
-    return call(workload, matchmaker, **kwargs).with_cost(
-        cost=float(workload.n_nodes) * max(workload.n_jobs, 1),
-        kind=f"workload:{matchmaker}:n{workload.n_nodes}"
-             f"x{workload.n_jobs}")
 
 
 def run_workload(workload: WorkloadConfig, matchmaker: str, seed: int = 1,
@@ -174,7 +158,7 @@ def run_replicates(workload: WorkloadConfig, matchmaker: str,
     """
     outcomes = map_cells(
         run_workload,
-        [workload_call(workload, matchmaker, seed=s, mm_kwargs=mm_kwargs,
-                       max_time=max_time) for s in seeds],
+        [call(workload, matchmaker, seed=s, mm_kwargs=mm_kwargs,
+              max_time=max_time) for s in seeds],
         jobs=jobs, telemetry=telemetry)
     return aggregate_outcomes(outcomes)

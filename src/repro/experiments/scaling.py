@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.experiments.parallel import map_cells
-from repro.experiments.runner import run_workload, workload_call
+from repro.experiments.parallel import call, map_cells
+from repro.experiments.runner import run_workload
 from repro.grid.system import DEFAULT_MAX_TIME
 from repro.metrics.report import format_table
 from repro.workloads.spec import FIGURE2_SCENARIOS
@@ -78,8 +78,8 @@ def run_scaling_experiment(sizes: tuple[int, ...] = (64, 128, 256, 512),
     groups = [(n, mm) for n in sizes for mm in matchmakers]
     outcomes = map_cells(
         run_workload,
-        [workload_call(base.scaled(n / base.n_nodes), mm, seed=seed,
-                       max_time=max_time) for n, mm in groups],
+        [call(base.scaled(n / base.n_nodes), mm, seed=seed,
+              max_time=max_time) for n, mm in groups],
         jobs=jobs)
     for (n, mm), outcome in zip(groups, outcomes):
         result.cells[(mm, n)] = outcome.summary

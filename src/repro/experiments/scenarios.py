@@ -198,12 +198,7 @@ def run_scenarios_experiment(config: ScenariosConfig | None = None,
     cells = [(s, m, seed) for s in names for m in mitigations
              for seed in seeds]
     summaries = map_cells(
-        run_scenario_cell,
-        # Kind keys the timing cache per (scenario, mitigation): shaped
-        # arrival streams make some scenarios (flash crowds, heavy-tail
-        # work) far slower than others at equal node counts.
-        [call(cfg, s, m, seed).with_cost(kind=f"scenario:{s}:{m}")
-         for s, m, seed in cells],
+        run_scenario_cell, [call(cfg, s, m, seed) for s, m, seed in cells],
         jobs=jobs)
     grouped: dict[tuple[str, str], list[dict]] = {}
     for (s, m, seed), summary in zip(cells, summaries):

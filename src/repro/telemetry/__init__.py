@@ -1,4 +1,4 @@
-"""Grid-wide telemetry: span tracing, metrics, and kernel profiling.
+"""Grid-wide telemetry: span tracing, metrics, and flight recording.
 
 The paper's central claims — matchmaking in "a small number of hops",
 bounded aggregation overhead, recovery without client resubmission — are
@@ -10,19 +10,20 @@ first-class observable without perturbing it:
   buffer, JSONL export.
 * :mod:`repro.telemetry.registry` — named counters, gauges, and bucketed
   histograms (O(1) per observation, bounded memory).
-* :mod:`repro.telemetry.profile` — opt-in event-loop profiling: events/sec
-  wall-clock, heap high-water mark, per-callback-site cumulative time.
 * :mod:`repro.telemetry.core` — the :class:`Telemetry` facade the grid and
   CLI wire through every layer.
 * :mod:`repro.telemetry.flight` — per-node bounded flight recorder,
   dumped into the trace when a job fails.
 * :mod:`repro.telemetry.spool` — chunked columnar spool files carrying
-  worker telemetry back to the parent in ``--jobs N`` sweeps (the
-  parallel engine's streaming merge).
+  worker telemetry back to the parent in ``--jobs N`` sweeps.
 * :mod:`repro.telemetry.timeline` — span-tree reconstruction and timeline
   analytics over a recorded trace (``repro job-trace``).
 * :mod:`repro.telemetry.summary` — text reports (hop distributions,
-  message budgets, kernel profile).
+  message budgets, trace buffer).
+
+Wall-clock attribution (where a run's CPU time goes, per layer) is not
+part of this package: ``bench/run.py --trace 1`` measures it from
+outside the simulator.
 
 Trace categories
 ----------------
@@ -79,7 +80,6 @@ from repro.telemetry.bus import (
 )
 from repro.telemetry.core import NULL_TELEMETRY, PHASE_SPAN_KEYS, Telemetry
 from repro.telemetry.flight import FlightRecorder
-from repro.telemetry.profile import KernelProfile
 from repro.telemetry.registry import (
     Counter,
     Gauge,
@@ -106,7 +106,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "JobTrace",
-    "KernelProfile",
     "MetricsRegistry",
     "Span",
     "SpanNode",

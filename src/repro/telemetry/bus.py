@@ -215,49 +215,6 @@ class TelemetryBus:
 
     # -- cross-process transfer -------------------------------------------
 
-    def state(self) -> dict[str, Any]:
-        """Full-fidelity, picklable dump (mirrors
-        :meth:`repro.telemetry.registry.MetricsRegistry.state`).
-
-        Besides the records themselves it carries the span-id high-water
-        mark and the overflow accounting, so a :meth:`merge` on the
-        receiving side can renumber spans without collisions and keep the
-        ``dropped`` arithmetic truthful.
-        """
-        return {
-            "records": list(self.records),
-            "accepted": self.accepted,
-            "spans": self._next_span,
-        }
-
-    def merge(self, state: dict[str, Any]) -> None:
-        """Fold a :meth:`state` dump into this bus, in call order.
-
-        Span and parent ids are offset by this bus's current span counter,
-        so merging per-worker buses in cell-submission order reproduces
-        exactly the ids a single shared bus would have allocated running
-        the same cells serially (each worker's counter starts at zero and
-        allocates the same ids the shared counter would have, shifted by
-        the running total) — the determinism contract behind
-        ``repro run --jobs N`` traces.
-        """
-        offset = self._next_span
-        append = self.records.append
-        for rec in state["records"]:
-            if offset and (rec.span_id is not None
-                           or rec.parent_id is not None):
-                rec = TraceEvent(
-                    rec.time, rec.category, rec.detail,
-                    rec.span_id + offset if rec.span_id is not None else None,
-                    rec.parent_id + offset if rec.parent_id is not None
-                    else None,
-                    rec.duration, rec.trace_id)
-            append(rec)
-        self._next_span += state["spans"]
-        # accepted counts records *ever* appended; importing the worker's
-        # count (not just the surviving records) preserves its drops.
-        self.accepted += state["accepted"]
-
     @property
     def span_watermark(self) -> int:
         """Span-id high-water mark: the offset a bulk import of a worker
@@ -268,16 +225,15 @@ class TelemetryBus:
     def import_stream(self, records: Iterable[TraceEvent],
                       spans: int = 0, accepted: int = 0) -> None:
         """Bulk-append worker records whose span/parent ids were *already*
-        offset by :attr:`span_watermark` — the spool fold's fast path
-        (:mod:`repro.telemetry.spool`), which renumbers whole id columns
-        at once instead of reconstructing records one at a time the way
-        :meth:`merge` must.
+        offset by :attr:`span_watermark` (the spool fold,
+        :mod:`repro.telemetry.spool`, renumbers whole id columns at once).
 
         ``spans``/``accepted`` import the worker's counters; the spool
         fold reserves the worker's span-id block up front (one call with
-        no records) and then streams record chunks in.  Appending through
-        the deque keeps the ring-buffer eviction semantics of
-        :meth:`merge`.
+        no records) and then streams record chunks in.  ``accepted``
+        counts records *ever* appended, so importing the worker's count
+        (not just its surviving records) preserves its drops; appending
+        through the deque keeps the ring-buffer eviction semantics.
         """
         self.records.extend(records)
         self._next_span += spans
@@ -293,8 +249,8 @@ class TelemetryBus:
                      extra_records: Iterable[dict[str, Any]] = ()) -> int:
         """Write one JSON object per line; returns the line count.
 
-        ``extra_records`` (e.g. a final metrics snapshot or kernel-profile
-        summary) are appended after the trace records.
+        ``extra_records`` (e.g. a final metrics snapshot) are appended
+        after the trace records.
         """
         n = 0
         with open(path, "w") as fh:

@@ -1,15 +1,15 @@
 """The :class:`Telemetry` facade: one object wired through every layer.
 
-A ``Telemetry`` bundles the three telemetry primitives —
+A ``Telemetry`` bundles the two telemetry primitives —
 
 * :attr:`bus` — the span/event trace bus (:mod:`repro.telemetry.bus`),
 * :attr:`metrics` — the counters/gauges/histograms registry,
-* :attr:`profile` — the optional kernel wall-clock profile,
 
 — plus the grid-facing glue: a simulator clock binding (so layers without
 a clock, like DHT overlays, can stamp records), a periodic load sampler,
-and JSONL export that appends the final metrics snapshot and kernel
-profile summary after the trace records.
+per-node flight recorders, and JSONL export that appends the final
+metrics snapshot after the trace records.  Wall-clock attribution per
+layer lives outside the simulator, in ``bench/run.py --trace 1``.
 
 The grid holds :data:`NULL_TELEMETRY` when none is supplied; every
 instrumentation site guards on ``telemetry.enabled`` first, so the
@@ -19,11 +19,11 @@ default path costs one attribute load and one branch.
 from __future__ import annotations
 
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.telemetry.bus import NULL_BUS, TelemetryBus
 from repro.telemetry.flight import FlightRecorder
-from repro.telemetry.profile import KernelProfile
 from repro.telemetry.registry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,7 +39,7 @@ PHASE_SPAN_KEYS = ("tel_insert", "tel_match", "tel_probe", "tel_dispatch",
 
 
 class Telemetry:
-    """Grid-wide telemetry: trace bus + metrics registry + kernel profile.
+    """Grid-wide telemetry: trace bus + metrics registry + flight recorder.
 
     Parameters
     ----------
@@ -49,24 +49,21 @@ class Telemetry:
         Bus ring-buffer bound (None = unbounded).
     enabled:
         Master switch; a disabled Telemetry is a shared no-op.
-    profile_kernel:
-        Attach a :class:`KernelProfile` to every bound grid's simulator.
     sample_interval:
         Virtual-time period of the load sampler (queue depths, live
         nodes); None disables sampling.  The sampler only *reads* grid
         state and draws no randomness, so it cannot perturb results.
+    flight_ring:
+        Per-node flight-recorder depth (0 disables the recorder).
     """
 
     def __init__(self, categories: Iterable[str] | None = None,
                  maxlen: int | None = None, enabled: bool = True,
-                 profile_kernel: bool = False,
                  sample_interval: float | None = None,
                  flight_ring: int = 64):
         self.bus = TelemetryBus(categories=categories, enabled=enabled,
                                 maxlen=maxlen) if enabled else NULL_BUS
         self.metrics = MetricsRegistry()
-        self.profile: KernelProfile | None = \
-            KernelProfile() if (profile_kernel and enabled) else None
         self.sample_interval = sample_interval
         #: Per-node last-N protocol event rings, dumped into the trace on
         #: job failure (None when disabled; see telemetry.flight).
@@ -87,10 +84,22 @@ class Telemetry:
         """Virtual time of the most recently bound simulator (0.0 unbound)."""
         return self._sim.now if self._sim is not None else 0.0
 
+    @property
+    def clock(self) -> float | None:
+        """:meth:`now`, or None before any grid was bound."""
+        return self._sim.now if self._sim is not None else None
+
+    def stop_clock(self, now: float) -> None:
+        """Stop :meth:`now` at ``now``.  A parallel sweep never binds the
+        parent to a grid; the spool fold stops it at each worker's final
+        clock in turn, leaving it where the serial sweep's last bound
+        grid would have."""
+        self._sim = SimpleNamespace(now=now)
+
     # -- grid binding ----------------------------------------------------
 
     def bind(self, grid: "DesktopGrid") -> None:
-        """Attach to a grid: clock, kernel profile, periodic load sampler.
+        """Attach to a grid: clock and periodic load sampler.
 
         Safe to call once per grid; a shared Telemetry accumulates across
         sequential grids (e.g. every cell of an experiment sweep).
@@ -106,8 +115,6 @@ class Telemetry:
             self.bus.record(grid.sim.now, "grid.bind",
                             nodes=len(grid.node_list),
                             matchmaker=grid.matchmaker.name)
-        if self.profile is not None:
-            grid.sim.profile = self.profile
         if self.sample_interval is not None:
             # Deterministic phase (no RNG, no stagger): telemetry must
             # observe, never perturb — see tests/telemetry/test_determinism.
@@ -212,17 +219,10 @@ class Telemetry:
             out.append({"t": self.now(), "cat": "trace.overflow",
                         "dropped": self.bus.dropped,
                         "kept": len(self.bus)})
-        if self.profile is not None:
-            out.append({"t": self.now(), "cat": "kernel.profile",
-                        **self.profile.summary(),
-                        "top_sites": [
-                            {"site": s, "calls": c, "seconds": round(t, 6)}
-                            for s, c, t in self.profile.top_sites()
-                        ]})
         return out
 
     def export_jsonl(self, path: str | Path) -> int:
-        """Write the trace plus metrics/profile trailers; returns lines."""
+        """Write the trace plus the metrics trailer; returns lines."""
         return self.bus.export_jsonl(path, extra_records=self.final_records())
 
 

@@ -138,24 +138,6 @@ class Histogram:
             "max": self.max if self.count else math.nan,
         }
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram's observations into this one.
-
-        Requires identical bucket edges — merging differently-bucketed
-        histograms would silently misbin, so that is an error.
-        """
-        if self.edges != other.edges:
-            raise ValueError(
-                f"cannot merge histogram {self.name!r}: bucket edges differ")
-        for i, n in enumerate(other.buckets):
-            self.buckets[i] += n
-        self.count += other.count
-        self.total += other.total
-        if other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Histogram({self.name!r}, n={self.count}, mean={self.mean:.4g})"
 
@@ -242,30 +224,16 @@ class MetricsRegistry:
 
     # -- cross-process transfer -------------------------------------------
 
-    def state(self) -> dict[str, tuple]:
-        """Full-fidelity, picklable dump — unlike :meth:`snapshot`, which
-        reduces histograms to summary statistics, this preserves bucket
-        counts so a :meth:`merge` on the receiving side is lossless."""
-        out: dict[str, tuple] = {}
-        for name, m in self._metrics.items():
-            if isinstance(m, Counter):
-                out[name] = ("counter", m.value)
-            elif isinstance(m, Gauge):
-                out[name] = ("gauge", m.value, m.hwm)
-            else:
-                out[name] = ("histogram", m.edges, tuple(m.buckets),
-                             m.count, m.total, m.min, m.max)
-        return out
-
     def state_columnar(self) -> tuple:
-        """Compact columnar counterpart of :meth:`state`.
+        """Full-fidelity, picklable dump for cross-process transfer.
 
-        Same fidelity, different shape: instead of one tagged tuple per
-        metric (whose pickle pays a dict entry and a tag string each),
-        metrics are grouped by kind into parallel columns, and histogram
-        edge tuples are interned in a shared table (nearly every
-        histogram uses :data:`DEFAULT_EDGES`, so the table almost always
-        has one entry).  Layout::
+        Unlike :meth:`snapshot`, which reduces histograms to summary
+        statistics, this keeps bucket counts, so a :meth:`merge_columnar`
+        on the receiving side is lossless.  Metrics are grouped by kind
+        into parallel columns, and histogram edge tuples are interned in
+        a shared table (nearly every histogram uses
+        :data:`DEFAULT_EDGES`, so the table almost always has one entry).
+        Layout::
 
             ("m1",
              (names, values),                       # counters
@@ -322,12 +290,15 @@ class MetricsRegistry:
     def merge_columnar(self, enc: tuple) -> None:
         """Fold a :meth:`state_columnar` dump into this registry.
 
-        Identical merge semantics to :meth:`merge` (counters add, gauges
-        last-write-wins with hwm max, histograms bucket-wise with edge
-        checks) — merging per-worker dumps in cell-submission order
-        reproduces the serial registry exactly.
+        Counters add; gauges take the incoming value (last-write-wins in
+        merge order) with high-water marks combined by max; histograms
+        merge bucket-wise (identical edges required — merging
+        differently-bucketed histograms would silently misbin).  Merging
+        per-worker dumps in cell-submission order reproduces exactly the
+        metrics a single shared registry would have seen running the
+        same cells serially.
         """
-        if not enc or enc[0] != "m1":  # pragma: no cover - corrupted transfer
+        if not enc or enc[0] != "m1":
             raise ValueError(f"unknown columnar metrics tag: {enc[:1]!r}")
         _, counters, gauges, hists = enc
         for name, value in zip(*counters):
@@ -353,44 +324,6 @@ class MetricsRegistry:
                 h.min = h_mins[i]
             if h_maxs[i] > h.max:
                 h.max = h_maxs[i]
-
-    def merge(self, state: "MetricsRegistry | dict[str, tuple]") -> None:
-        """Fold a :meth:`state` dump (or another registry) into this one.
-
-        Counters add; gauges take the incoming value (last-write-wins in
-        merge order) with high-water marks combined by max; histograms
-        merge bucket-wise (identical edges required).  Merging the states
-        of per-worker registries in cell-submission order reproduces
-        exactly the metrics a single shared registry would have seen
-        running the same cells serially.
-        """
-        if isinstance(state, MetricsRegistry):
-            state = state.state()
-        for name, entry in state.items():
-            kind = entry[0]
-            if kind == "counter":
-                self.counter(name).inc(entry[1])
-            elif kind == "gauge":
-                g = self.gauge(name)
-                g.value = float(entry[1])
-                if entry[2] > g.hwm:
-                    g.hwm = entry[2]
-            elif kind == "histogram":
-                _, edges, buckets, count, total, mn, mx = entry
-                h = self.histogram(name, edges)
-                if h.edges != tuple(edges):
-                    raise ValueError(f"cannot merge histogram {name!r}: "
-                                     "bucket edges differ")
-                for i, n in enumerate(buckets):
-                    h.buckets[i] += n
-                h.count += count
-                h.total += total
-                if mn < h.min:
-                    h.min = mn
-                if mx > h.max:
-                    h.max = mx
-            else:  # pragma: no cover - corrupted transfer
-                raise ValueError(f"unknown metric kind {kind!r} for {name!r}")
 
     def clear(self) -> None:
         """Drop every metric.

@@ -1,43 +1,35 @@
 """Chunked columnar spooling of worker telemetry for parallel sweeps.
 
-The v1 parallel engine shipped worker telemetry back as one pickled
-``(MetricsRegistry.state(), TelemetryBus.state())`` blob per cell: the
-whole record list pickles as N individual :class:`TraceEvent` objects and
-the parent reconstructs every span-carrying record a second time inside
-:meth:`TelemetryBus.merge`.  For traced sweeps that one-shot round trip
-dominates parent-side wall time and holds every worker's full stream in
-memory at once.
+A *spool* carries one worker's telemetry back to the parent in a
+``--jobs N`` sweep: the worker writes it to a file as a sequence of
+length-prefixed pickle blocks, and the parent folds it chunk by chunk as
+the cell's result is collected.
 
-A *spool* is the streaming replacement: the worker writes its telemetry
-to a file as a sequence of length-prefixed pickle blocks, and the parent
-folds it incrementally as each future completes.
-
-Format (version 1) — each block is a 4-byte little-endian length followed
+Format (version 2) — each block is a 4-byte little-endian length followed
 by a pickle blob:
 
 * block 0 — header dict: ``{"version", "spans", "accepted", "n_records",
-  "metrics"}`` where ``"metrics"`` is the compact columnar registry dump
-  (:meth:`MetricsRegistry.state_columnar`);
+  "clock", "metrics"}`` where ``"clock"`` is the worker's final virtual
+  time (None if it never bound a grid) and ``"metrics"`` is the compact
+  columnar registry dump (:meth:`MetricsRegistry.state_columnar`);
 * blocks 1..k — record chunks: a 7-tuple of parallel lists ``(time,
   category, detail, span_id, parent_id, duration, trace_id)``,
   :data:`CHUNK_RECORDS` rows per chunk.
 
-Why columnar chunks beat the pickled-state path:
-
-* pickling seven flat lists memoizes the (heavily repeated) category
-  strings and detail keys once per chunk instead of spelling a class
-  reference and field markers per record — the stream is ~1.5x smaller;
-* the fold renumbers the span/parent id *columns* with two list
-  comprehensions and rebuilds records by positional slots-dataclass
-  construction — about half the per-record cost of
-  :meth:`TelemetryBus.merge`'s reconstruct-per-record loop;
-* chunking bounds parent peak memory to one chunk per in-flight fold
-  rather than one full worker stream per outstanding future.
+Why columnar chunks: pickling seven flat lists memoizes the (heavily
+repeated) category strings and detail keys once per chunk instead of
+spelling a class reference and field markers per record; the fold
+renumbers the span/parent id *columns* with two list comprehensions and
+rebuilds records by positional slots-dataclass construction; and
+chunking bounds parent peak memory to one chunk rather than one full
+worker stream.  DESIGN.md ("Sweep engine") records the measurement that
+keeps this format over a one-shot pickled ``(metrics, bus)`` round trip.
 
 The fold preserves the engine's determinism contract: ids are offset by
-the parent's :attr:`~TelemetryBus.span_watermark` exactly as
-:meth:`TelemetryBus.merge` would, so folding per-worker spools in cell
-submission order reproduces the serial bus byte-for-byte.
+the parent's :attr:`~TelemetryBus.span_watermark`, so folding per-worker
+spools in cell submission order reproduces the serial bus byte-for-byte,
+and the parent's clock stops at the last folded worker's, where the
+serial sweep's last bound grid would have left it.
 """
 
 from __future__ import annotations
@@ -53,7 +45,7 @@ from repro.telemetry.bus import TraceEvent
 #: the length prefix, small enough to bound fold-time peak memory.
 CHUNK_RECORDS = 32768
 
-SPOOL_VERSION = 1
+SPOOL_VERSION = 2
 
 _PROTO = pickle.HIGHEST_PROTOCOL
 _LEN = struct.Struct("<I")
@@ -86,8 +78,7 @@ def _read_blocks(fh: BinaryIO) -> Iterator[Any]:
 def write_spool(path: str | Path, telemetry) -> int:
     """Spool ``telemetry``'s bus records and metrics to ``path``.
 
-    Worker-side half of the streaming merge; returns bytes written (the
-    engine reports them as per-cell serialized volume).
+    Worker-side half of the streaming merge; returns bytes written.
     """
     bus = telemetry.bus
     recs = list(bus.records)
@@ -98,6 +89,7 @@ def write_spool(path: str | Path, telemetry) -> int:
             "spans": bus.span_watermark,
             "accepted": bus.accepted,
             "n_records": len(recs),
+            "clock": telemetry.clock,
             "metrics": telemetry.metrics.state_columnar(),
         }
         nbytes += _write_block(fh, header)
@@ -117,12 +109,9 @@ def write_spool(path: str | Path, telemetry) -> int:
 def fold_spool(path: str | Path, telemetry) -> int:
     """Fold a spool file into ``telemetry``; returns records imported.
 
-    Parent-side half.  Equivalent to ``bus.merge(state)`` +
-    ``metrics.merge(state)`` on the pickled-state path — same offsets,
-    same ordering guarantees — but streams chunk by chunk.  The worker's
-    span-id block is reserved up front (so the offset math matches a
-    one-shot merge even mid-stream), then record chunks are renumbered
-    columnwise and bulk-appended.
+    Parent-side half.  The worker's span-id block is reserved up front
+    (so the offset math holds even mid-stream), then record chunks are
+    renumbered columnwise and bulk-appended.
     """
     bus = telemetry.bus
     offset = bus.span_watermark
@@ -148,4 +137,6 @@ def fold_spool(path: str | Path, telemetry) -> int:
                                zip(times, cats, dets, spans, parents,
                                    durs, traces)])
     telemetry.metrics.merge_columnar(header["metrics"])
+    if header["clock"] is not None:
+        telemetry.stop_clock(header["clock"])
     return header["n_records"]

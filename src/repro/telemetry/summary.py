@@ -3,8 +3,8 @@
 Renders the same quantities the paper argues about, from live telemetry
 instead of terminal job records: hop distributions per overlay and
 matchmaker ("a small number of hops"), the message budget by kind
-(aggregation/heartbeat overhead), and the kernel wall-clock profile
-(where an optimisation PR should aim).  All output reuses
+(aggregation/heartbeat overhead), and the trace buffer's contents.
+All output reuses
 :func:`repro.metrics.report.format_table` so experiment reports and
 telemetry reports read alike.
 """
@@ -61,23 +61,8 @@ def message_budget_report(tel: "Telemetry") -> str:
                         title="Message budget")
 
 
-def kernel_profile_report(tel: "Telemetry", top: int = 12) -> str:
-    prof = tel.profile
-    if prof is None or prof.events == 0:
-        return "kernel profile: (profiling not enabled)"
-    head = (f"Kernel profile: {prof.events} events in "
-            f"{prof.wall_seconds:.3f}s wall "
-            f"({prof.events_per_second:,.0f} ev/s), "
-            f"heap high-water {prof.heap_peak}")
-    rows = [[site, calls, cum * 1e3, cum * 1e6 / calls]
-            for site, calls, cum in prof.top_sites(top)]
-    table = format_table(["callback site", "calls", "cum ms", "us/call"],
-                         rows, title=head)
-    return table
-
-
 def telemetry_report(tel: "Telemetry", bars_for: str = "dht.") -> str:
-    """The full text summary: hops, message budget, kernel profile, buffer."""
+    """The full text summary: hops, queue depths, message budget, buffer."""
     parts = []
     hop_hists = tel.metrics.histograms("dht.") + tel.metrics.histograms("match.")
     if hop_hists:
@@ -91,7 +76,6 @@ def telemetry_report(tel: "Telemetry", bars_for: str = "dht.") -> str:
         parts.append(histogram_table(queue_hists,
                                      "Queue depth (periodic samples)"))
     parts.append(message_budget_report(tel))
-    parts.append(kernel_profile_report(tel))
     counts = tel.bus.category_counts()
     if counts:
         rows = [[cat, n] for cat, n in sorted(counts.items())]

@@ -96,14 +96,15 @@ class TestSnapshot:
 
 
 class TestStateMerge:
-    """Cross-process transfer: state() -> merge() must be lossless."""
+    """Cross-process transfer: state_columnar() -> merge_columnar() must
+    be lossless."""
 
     def test_counters_add(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         a.counter("net.sent").inc(3)
         b.counter("net.sent").inc(4)
         b.counter("net.lost").inc()
-        a.merge(b.state())
+        a.merge_columnar(b.state_columnar())
         assert a.counter("net.sent").value == 7
         assert a.counter("net.lost").value == 1
 
@@ -112,7 +113,7 @@ class TestStateMerge:
         a.gauge("depth").set(9)
         a.gauge("depth").set(2)
         b.gauge("depth").set(5)
-        a.merge(b.state())
+        a.merge_columnar(b.state_columnar())
         assert a.gauge("depth").value == 5
         assert a.gauge("depth").hwm == 9
 
@@ -126,7 +127,7 @@ class TestStateMerge:
             parts[i % 3].histogram("hops").observe(x)
         merged = MetricsRegistry()
         for part in parts:
-            merged.merge(part.state())
+            merged.merge_columnar(part.state_columnar())
         h1, h2 = one.histogram("hops"), merged.histogram("hops")
         assert h2.buckets == h1.buckets
         assert h2.count == h1.count
@@ -139,11 +140,7 @@ class TestStateMerge:
         a.histogram("h", edges=(1, 2, 4)).observe(1)
         b.histogram("h", edges=(1, 2, 8)).observe(1)
         with pytest.raises(ValueError):
-            a.merge(b.state())
-
-    def test_direct_histogram_merge_edge_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            Histogram("h", edges=(1, 2)).merge(Histogram("h", edges=(1, 3)))
+            a.merge_columnar(b.state_columnar())
 
     def test_state_round_trips_through_pickle(self):
         import pickle
@@ -152,12 +149,13 @@ class TestStateMerge:
         reg.counter("c").inc(2)
         reg.gauge("g").set(1.5)
         reg.histogram("h").observe(7)
-        state = pickle.loads(pickle.dumps(reg.state()))
+        state = pickle.loads(pickle.dumps(reg.state_columnar()))
         fresh = MetricsRegistry()
-        fresh.merge(state)
-        assert fresh.state() == reg.state()
+        fresh.merge_columnar(state)
+        assert fresh.state_columnar() == reg.state_columnar()
+        assert fresh.snapshot() == reg.snapshot()
 
     def test_unknown_kind_raises(self):
         reg = MetricsRegistry()
         with pytest.raises(ValueError):
-            reg.merge({"x": ("thermometer", 98.6)})
+            reg.merge_columnar(("m0", ([], []), ([], [], []), ()))

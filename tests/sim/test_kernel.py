@@ -121,6 +121,81 @@ class TestRunBounds:
         assert sim.events_processed == 3
 
 
+class TestRunLoop:
+    """The single dispatch loop: per-call counts, batch boundaries, and
+    state left behind when a callback raises."""
+
+    def test_return_counts_this_call_and_totals_accumulate(self, sim):
+        for i in range(5):
+            sim.schedule(float(i + 1), lambda: None)
+        assert sim.run(until=2.0) == 2
+        assert sim.run() == 3
+        assert sim.run() == 0
+        assert sim.events_processed == 5
+
+    def test_max_events_stops_inside_a_timestamp_batch(self, sim):
+        log = []
+        for i in range(5):
+            sim.schedule(1.0, log.append, i)
+        assert sim.run(max_events=2) == 2
+        assert log == [0, 1]
+        assert sim.run() == 3
+        assert log == [0, 1, 2, 3, 4]
+
+    def test_zero_delay_events_join_the_current_batch(self, sim):
+        log = []
+
+        def first():
+            log.append(("first", sim.now))
+            sim.schedule(0.0, lambda: log.append(("chained", sim.now)))
+
+        sim.schedule(1.0, first)
+        sim.schedule(1.0, lambda: log.append(("second", sim.now)))
+        sim.schedule(2.0, lambda: log.append(("later", sim.now)))
+        sim.run()
+        assert log == [("first", 1.0), ("second", 1.0), ("chained", 1.0),
+                       ("later", 2.0)]
+
+    def test_posted_and_handled_events_fire_in_insertion_order(self, sim):
+        log = []
+        sim.post(1.0, log.append, "post-a")
+        sim.schedule(1.0, log.append, "handle-b")
+        sim.post(1.0, log.append, "post-c")
+        sim.schedule_timer(1.0, log.append, "timer-d")
+        sim.run()
+        assert log == ["post-a", "handle-b", "post-c", "timer-d"]
+
+    def test_cancelled_events_are_not_counted(self, sim):
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(1.0, lambda: None).cancel()
+        sim.schedule_timer(2.0, lambda: None).cancel()
+        assert sim.run() == 1
+        assert sim.events_processed == 1
+
+    def test_callback_exception_leaves_simulator_usable(self, sim):
+        log = []
+
+        def boom():
+            raise RuntimeError("callback failed")
+
+        sim.schedule(1.0, log.append, "before")
+        sim.schedule(2.0, boom)
+        sim.schedule(3.0, log.append, "after")
+        with pytest.raises(RuntimeError, match="callback failed"):
+            sim.run()
+        assert sim.now == 2.0
+        assert sim.events_processed == 1
+        assert sim.run() == 1
+        assert log == ["before", "after"]
+
+    def test_until_in_the_past_does_not_rewind_the_clock(self, sim):
+        sim.schedule(5.0, lambda: None)
+        sim.run()
+        sim.schedule(1.0, lambda: None)
+        assert sim.run(until=1.0) == 0
+        assert sim.now == 5.0
+
+
 class TestHeapHygiene:
     """Tombstone accounting, compaction, and mid-run peeking."""
 

@@ -30,6 +30,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "figure2", "--seeds", "a,b"])
 
+    @pytest.mark.parametrize("command", [["run", "figure2"],
+                                         ["job-trace", "figure2"]])
+    def test_jobs_parsing(self, command):
+        parser = build_parser()
+        assert parser.parse_args(command + ["--jobs", "3"]).jobs == 3
+        assert parser.parse_args(command + ["--jobs", "0"]).jobs == 0
+        assert parser.parse_args(command).jobs is None
+
+    @pytest.mark.parametrize("value", ["-1", "two", "1.5"])
+    def test_bad_jobs_is_a_usage_error(self, value, capsys):
+        # Rejected at parse time (exit 2 with a usage message), before
+        # the experiment builds anything.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "figure2", "--jobs", value])
+        assert exc.value.code == 2
+        assert "worker count" in capsys.readouterr().err
+
     def test_registry_covers_every_driver(self):
         # Every public run_* experiment driver is reachable from the CLI.
         import repro.experiments as exp

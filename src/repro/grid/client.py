@@ -43,9 +43,6 @@ class Client:
         #: Submissions refused by admission control (quota knob).
         self.rejected = 0
         self._watch_task: PeriodicTask | None = None
-        #: Observers invoked with each finished Job (used by the DAG
-        #: scheduler to release dependent jobs).
-        self.result_callbacks: list = []
 
     # -- submission --------------------------------------------------------
 
@@ -151,8 +148,6 @@ class Client:
             tel.metrics.histogram("jobs.wait_time",
                                   edges=WAIT_EDGES).observe(job.wait_time)
         self.grid.metrics.on_job_done(job)
-        for callback in self.result_callbacks:
-            callback(job)
 
     # -- resubmission watchdog ----------------------------------------------
 

@@ -57,16 +57,6 @@ class TestSubmission:
         grid.run_until_done(max_time=1000)
         assert len(grid.metrics.done) == 3
 
-    def test_result_callbacks_invoked(self):
-        grid = make_small_grid()
-        client = grid.client("c")
-        seen = []
-        client.result_callbacks.append(lambda j: seen.append(j.name))
-        job = make_job(client, "cb")
-        grid.submit_at(0.0, client, job)
-        grid.run_until_done(max_time=1000)
-        assert seen == ["cb"]
-
     def test_duplicate_client_name_rejected(self):
         grid = make_small_grid()
         grid.client("dup")

@@ -94,7 +94,6 @@ class GridNode:
 
         # Lifetime accounting.
         self.jobs_executed = 0
-        self.busy_time = 0.0
         #: Per-client CPU seconds served here (fair-share discipline state).
         self.client_service: dict[int, float] = {}
 
@@ -785,8 +784,7 @@ class GridNode:
         self.running = None
         self.jobs_executed += 1
         served = self.grid.sim.now - job.start_time
-        self.busy_time += served
-        self.grid.registry.note_executed(self._reg_idx, served)
+        self.grid.registry.note_executed(self._reg_idx)
         cid = job.profile.client_id
         self.client_service[cid] = self.client_service.get(cid, 0.0) + served
         if failure is None:

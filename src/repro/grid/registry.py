@@ -1,12 +1,12 @@
 """Columnar node-state registry: array-backed liveness and load.
 
 At 10k-100k nodes, every "scan all nodes" consumer — telemetry load
-samples, timeline snapshots, the centralized matchmaker's candidate mask,
-utilization reports — pays O(N) Python attribute chasing per sweep.  This
+samples, the centralized matchmaker's candidate mask, the per-node
+execution counts — pays O(N) Python attribute chasing per sweep.  This
 registry keeps the swept state (``alive``, ``queue_len``,
-``jobs_executed``, ``busy_time``) in dense numpy columns keyed by node
-index (``DesktopGrid.node_list`` order), so those consumers read one
-array expression instead.
+``jobs_executed``) in dense numpy columns keyed by node index
+(``DesktopGrid.node_list`` order), so those consumers read one array
+expression instead.
 
 The per-node objects remain the protocol's working state; the columns are
 mirrors updated at the few choke points where the state changes:
@@ -15,8 +15,8 @@ mirrors updated at the few choke points where the state changes:
   (the same four methods that invalidate ``DesktopGrid._live_cache``);
 * ``queue_len`` — :meth:`DesktopGrid.on_queue_change` (the hook every
   queue mutation already funnels through);
-* ``jobs_executed`` / ``busy_time`` — :meth:`GridNode._finish_running`
-  via :meth:`note_executed` (the single write point).
+* ``jobs_executed`` — :meth:`GridNode._finish_running` via
+  :meth:`note_executed` (the single write point).
 
 ``tests/grid/test_registry.py`` asserts column == per-node scan after
 churny runs, so a new mutation path that forgets its mirror shows up as a
@@ -36,8 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class NodeRegistry:
     """Dense columnar view of per-node liveness/load state."""
 
-    __slots__ = ("nodes", "index", "alive", "queue_len", "jobs_executed",
-                 "busy_time")
+    __slots__ = ("nodes", "index", "alive", "queue_len", "jobs_executed")
 
     def __init__(self, nodes: "list[GridNode]"):
         n = len(nodes)
@@ -47,7 +46,6 @@ class NodeRegistry:
         self.alive = np.ones(n, dtype=bool)
         self.queue_len = np.zeros(n, dtype=np.int64)
         self.jobs_executed = np.zeros(n, dtype=np.int64)
-        self.busy_time = np.zeros(n, dtype=np.float64)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -60,9 +58,8 @@ class NodeRegistry:
     def note_queue(self, idx: int, queue_len: int) -> None:
         self.queue_len[idx] = queue_len
 
-    def note_executed(self, idx: int, served: float) -> None:
+    def note_executed(self, idx: int) -> None:
         self.jobs_executed[idx] += 1
-        self.busy_time[idx] += served
 
     # -- thin read accessors ----------------------------------------------
 
@@ -83,10 +80,6 @@ class NodeRegistry:
         """Jobs executed per node, dense order, as Python ints."""
         return self.jobs_executed.tolist()
 
-    def busy_times(self) -> np.ndarray:
-        """Per-node CPU seconds served (dense order, copy-safe view)."""
-        return self.busy_time
-
     def check_consistency(self) -> list[str]:
         """Compare every column against a per-node scan (test hook).
 
@@ -105,7 +98,4 @@ class NodeRegistry:
                 problems.append(
                     f"jobs_executed[{i}] ({node.name}): "
                     f"{int(self.jobs_executed[i])} != {node.jobs_executed}")
-            if float(self.busy_time[i]) != node.busy_time:
-                problems.append(f"busy_time[{i}] ({node.name}): "
-                                f"{float(self.busy_time[i])} != {node.busy_time}")
         return problems

@@ -62,7 +62,6 @@ class TestRegistryUnderLoad:
         # The columns agree with a from-scratch object scan.
         assert reg.execution_counts() == \
             [n.jobs_executed for n in grid.node_list]
-        assert float(reg.busy_times().sum()) > 0
         assert np.array_equal(
             reg.live_queue_lens(),
             np.array([n.queue_len for n in grid.node_list if n.alive]))

@@ -10,13 +10,10 @@ distinguished by whether the jobs are lightly or heavily constrained."
 from repro.workloads.spec import WorkloadConfig, FIGURE2_SCENARIOS
 from repro.workloads.nodes import generate_nodes
 from repro.workloads.jobs import generate_job_stream
-from repro.workloads.tracefile import load_trace, save_trace
 
 __all__ = [
     "WorkloadConfig",
     "FIGURE2_SCENARIOS",
     "generate_nodes",
     "generate_job_stream",
-    "load_trace",
-    "save_trace",
 ]

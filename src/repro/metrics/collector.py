@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 
 from repro.grid.job import Job, JobState
-from repro.util.stats import RunningStats, jains_fairness
+from repro.util.stats import jains_fairness
 
 
 class MetricsCollector:
@@ -77,11 +77,6 @@ class MetricsCollector:
         )
 
     # -- summaries ------------------------------------------------------------
-
-    def wait_stats(self) -> RunningStats:
-        stats = RunningStats()
-        stats.extend(self.wait_times())
-        return stats
 
     def wait_percentiles(self, qs: tuple[float, ...] = (50, 95, 99)
                          ) -> dict[str, float]:

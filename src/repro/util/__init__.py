@@ -10,7 +10,6 @@ from repro.util.ids import (
     ring_distance,
 )
 from repro.util.rng import RngStreams
-from repro.util.stats import RunningStats, summarize
 
 __all__ = [
     "GUID_BITS",
@@ -21,6 +20,4 @@ __all__ = [
     "ring_between",
     "ring_distance",
     "RngStreams",
-    "RunningStats",
-    "summarize",
 ]

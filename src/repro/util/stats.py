@@ -1,140 +1,16 @@
-"""Streaming and summary statistics used by the metrics layer.
+"""Load-balance statistics used by the metrics layer.
 
-The paper reports average and standard deviation of job wait times
-(Figure 2).  :class:`RunningStats` implements Welford's numerically stable
-online algorithm so the simulator never needs to retain every sample, and
-:func:`summarize` produces the full summary (mean/std/percentiles) from a
-retained sample vector when one is available.
+:func:`jains_fairness` condenses a per-node load vector into one number,
+reported alongside the wait-time standard deviation the paper plots in
+Figure 2.  Wait-time means and percentiles are plain numpy reductions in
+:class:`repro.metrics.collector.MetricsCollector`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-class RunningStats:
-    """Welford online mean/variance with min/max tracking."""
-
-    __slots__ = ("count", "_mean", "_m2", "min", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def add(self, x: float) -> None:
-        """Incorporate one sample."""
-        x = float(x)
-        if math.isnan(x):
-            raise ValueError("cannot add NaN sample")
-        self.count += 1
-        delta = x - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (x - self._mean)
-        if x < self.min:
-            self.min = x
-        if x > self.max:
-            self.max = x
-
-    def extend(self, xs) -> None:
-        for x in xs:
-            self.add(x)
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.count else math.nan
-
-    @property
-    def variance(self) -> float:
-        """Population variance (ddof=0), matching ``numpy.std`` defaults."""
-        return self._m2 / self.count if self.count else math.nan
-
-    @property
-    def std(self) -> float:
-        v = self.variance
-        return math.sqrt(v) if v == v else math.nan  # NaN-propagating
-
-    def merge(self, other: "RunningStats") -> "RunningStats":
-        """Combine two disjoint sample sets (Chan et al. parallel update)."""
-        out = RunningStats()
-        if self.count == 0:
-            out.count, out._mean, out._m2 = other.count, other._mean, other._m2
-            out.min, out.max = other.min, other.max
-            return out
-        if other.count == 0:
-            out.count, out._mean, out._m2 = self.count, self._mean, self._m2
-            out.min, out.max = self.min, self.max
-            return out
-        n = self.count + other.count
-        delta = other._mean - self._mean
-        out.count = n
-        out._mean = self._mean + delta * other.count / n
-        out._m2 = self._m2 + other._m2 + delta * delta * self.count * other.count / n
-        out.min = min(self.min, other.min)
-        out.max = max(self.max, other.max)
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"RunningStats(n={self.count}, mean={self.mean:.4g}, "
-            f"std={self.std:.4g}, min={self.min:.4g}, max={self.max:.4g})"
-        )
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Full sample summary, including percentiles."""
-
-    count: int
-    mean: float
-    std: float
-    min: float
-    p25: float
-    median: float
-    p75: float
-    p95: float
-    p99: float
-    max: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "std": self.std,
-            "min": self.min,
-            "p25": self.p25,
-            "median": self.median,
-            "p75": self.p75,
-            "p95": self.p95,
-            "p99": self.p99,
-            "max": self.max,
-        }
-
-
-def summarize(samples) -> Summary:
-    """Summarize a sample vector (mean, std ddof=0, percentiles)."""
-    arr = np.asarray(list(samples), dtype=float)
-    if arr.size == 0:
-        nan = math.nan
-        return Summary(0, nan, nan, nan, nan, nan, nan, nan, nan, nan)
-    q = np.percentile(arr, [25, 50, 75, 95, 99])
-    return Summary(
-        count=int(arr.size),
-        mean=float(arr.mean()),
-        std=float(arr.std()),
-        min=float(arr.min()),
-        p25=float(q[0]),
-        median=float(q[1]),
-        p75=float(q[2]),
-        p95=float(q[3]),
-        p99=float(q[4]),
-        max=float(arr.max()),
-    )
 
 
 def jains_fairness(loads) -> float:

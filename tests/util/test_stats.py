@@ -1,92 +1,11 @@
-"""RunningStats (Welford), summarize, and Jain's fairness index."""
+"""Jain's fairness index."""
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.stats import RunningStats, jains_fairness, summarize
-
-finite_floats = st.floats(min_value=-1e9, max_value=1e9,
-                          allow_nan=False, allow_infinity=False)
-
-
-class TestRunningStats:
-    def test_empty(self):
-        s = RunningStats()
-        assert s.count == 0
-        assert math.isnan(s.mean)
-        assert math.isnan(s.std)
-
-    def test_single_sample(self):
-        s = RunningStats()
-        s.add(5.0)
-        assert s.mean == 5.0
-        assert s.std == 0.0
-        assert s.min == s.max == 5.0
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            RunningStats().add(float("nan"))
-
-    def test_matches_numpy(self):
-        data = np.random.default_rng(0).normal(10, 3, size=500)
-        s = RunningStats()
-        s.extend(data)
-        assert s.count == 500
-        assert s.mean == pytest.approx(data.mean())
-        assert s.std == pytest.approx(data.std())
-        assert s.min == data.min() and s.max == data.max()
-
-    @given(st.lists(finite_floats, min_size=1, max_size=100))
-    def test_welford_matches_numpy_property(self, xs):
-        s = RunningStats()
-        s.extend(xs)
-        arr = np.asarray(xs)
-        assert s.mean == pytest.approx(arr.mean(), rel=1e-9, abs=1e-6)
-        assert s.variance == pytest.approx(arr.var(), rel=1e-6, abs=1e-4)
-
-    @given(st.lists(finite_floats, min_size=1, max_size=50),
-           st.lists(finite_floats, min_size=1, max_size=50))
-    def test_merge_equals_concatenation(self, xs, ys):
-        a, b = RunningStats(), RunningStats()
-        a.extend(xs)
-        b.extend(ys)
-        merged = a.merge(b)
-        both = RunningStats()
-        both.extend(xs + ys)
-        assert merged.count == both.count
-        assert merged.mean == pytest.approx(both.mean, rel=1e-9, abs=1e-6)
-        assert merged.variance == pytest.approx(both.variance, rel=1e-6, abs=1e-4)
-        assert merged.min == both.min and merged.max == both.max
-
-    def test_merge_with_empty(self):
-        a = RunningStats()
-        a.extend([1.0, 2.0, 3.0])
-        empty = RunningStats()
-        assert a.merge(empty).mean == pytest.approx(2.0)
-        assert empty.merge(a).mean == pytest.approx(2.0)
-
-
-class TestSummarize:
-    def test_empty(self):
-        s = summarize([])
-        assert s.count == 0
-        assert math.isnan(s.mean)
-
-    def test_basic_fields(self):
-        s = summarize([1.0, 2.0, 3.0, 4.0])
-        assert s.count == 4
-        assert s.mean == pytest.approx(2.5)
-        assert s.median == pytest.approx(2.5)
-        assert s.min == 1.0 and s.max == 4.0
-
-    def test_as_dict_roundtrip(self):
-        d = summarize([1.0, 2.0]).as_dict()
-        assert d["count"] == 2
-        assert set(d) == {"count", "mean", "std", "min", "p25", "median",
-                          "p75", "p95", "p99", "max"}
+from repro.util.stats import jains_fairness
 
 
 class TestJainsFairness:

@@ -15,7 +15,7 @@ the job-lifecycle protocols.  This package provides that substrate:
 from repro.sim.kernel import EventHandle, Simulator
 from repro.sim.network import LatencyModel, Message, Network
 from repro.sim.process import PeriodicTask
-from repro.sim.failure import CrashRecoveryProcess, FailureInjector
+from repro.sim.failure import CrashRecoveryProcess
 
 __all__ = [
     "EventHandle",
@@ -25,5 +25,4 @@ __all__ = [
     "Network",
     "PeriodicTask",
     "CrashRecoveryProcess",
-    "FailureInjector",
 ]

@@ -4,8 +4,6 @@ The paper's robustness story is about surviving node failures (owner/run
 recovery, no single point of failure).  These injectors drive that story in
 experiments:
 
-* :class:`FailureInjector` — crash a chosen set of nodes at chosen times
-  (deterministic fault scripts for tests and targeted experiments).
 * :class:`CrashRecoveryProcess` — ongoing churn: each node alternates
   exponential up-times and down-times, crashing and rejoining forever.
 * :class:`GroupFailureInjector` — *correlated* failures: whole groups
@@ -24,44 +22,11 @@ callbacks it is given.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.sim.kernel import Simulator
-
-
-class FailureInjector:
-    """Schedules scripted crash (and optional recovery) events."""
-
-    def __init__(self, sim: Simulator,
-                 crash_fn: Callable[[int], None],
-                 recover_fn: Callable[[int], None] | None = None):
-        self.sim = sim
-        self.crash_fn = crash_fn
-        self.recover_fn = recover_fn
-        self.crashes_injected = 0
-        self.recoveries_injected = 0
-
-    def crash_at(self, time: float, node_id: int) -> None:
-        self.sim.schedule_at(time, self._crash, node_id)
-
-    def recover_at(self, time: float, node_id: int) -> None:
-        if self.recover_fn is None:
-            raise ValueError("no recover_fn configured")
-        self.sim.schedule_at(time, self._recover, node_id)
-
-    def crash_many(self, times_and_nodes: Iterable[tuple[float, int]]) -> None:
-        for time, node_id in times_and_nodes:
-            self.crash_at(time, node_id)
-
-    def _crash(self, node_id: int) -> None:
-        self.crashes_injected += 1
-        self.crash_fn(node_id)
-
-    def _recover(self, node_id: int) -> None:
-        self.recoveries_injected += 1
-        self.recover_fn(node_id)
 
 
 class CrashRecoveryProcess:

@@ -1,48 +1,15 @@
-"""Failure injection: scripted crashes and churn processes."""
+"""Failure injection: the continuous churn process."""
 
 import numpy as np
 import pytest
 
-from repro.sim.failure import CrashRecoveryProcess, FailureInjector
+from repro.sim.failure import CrashRecoveryProcess
 from repro.sim.kernel import Simulator
 
 
 @pytest.fixture
 def sim():
     return Simulator()
-
-
-class TestFailureInjector:
-    def test_scripted_crash_fires_at_time(self, sim):
-        crashed = []
-        inj = FailureInjector(sim, crashed.append)
-        inj.crash_at(5.0, 42)
-        sim.run(until=4.9)
-        assert crashed == []
-        sim.run(until=5.1)
-        assert crashed == [42]
-        assert inj.crashes_injected == 1
-
-    def test_crash_many(self, sim):
-        crashed = []
-        inj = FailureInjector(sim, crashed.append)
-        inj.crash_many([(1.0, 1), (2.0, 2), (3.0, 3)])
-        sim.run()
-        assert crashed == [1, 2, 3]
-
-    def test_recovery_requires_recover_fn(self, sim):
-        inj = FailureInjector(sim, lambda n: None)
-        with pytest.raises(ValueError):
-            inj.recover_at(1.0, 5)
-
-    def test_crash_then_recover(self, sim):
-        events = []
-        inj = FailureInjector(sim, lambda n: events.append(("crash", n)),
-                              lambda n: events.append(("up", n)))
-        inj.crash_at(1.0, 7)
-        inj.recover_at(2.0, 7)
-        sim.run()
-        assert events == [("crash", 7), ("up", 7)]
 
 
 class TestCrashRecoveryProcess:

@@ -14,6 +14,7 @@ regenerate any paper artifact without writing code:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Callable
@@ -46,21 +47,38 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad seed list {text!r}") from None
     if not seeds:
         raise argparse.ArgumentTypeError("seed list is empty")
+    if any(s < 0 for s in seeds):
+        raise argparse.ArgumentTypeError("seeds must be >= 0")
     return seeds
 
 
-def _parse_jobs(text: str) -> int:
-    """``--jobs`` value: a worker count, ``0`` meaning all cores.  Checked
-    at parse time so a bad count is a usage error, not a traceback from
-    inside the sweep after it has built its inputs."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad worker count {text!r}") from None
-    if jobs < 0:
-        raise argparse.ArgumentTypeError(
-            f"worker count must be >= 0 (0 = all cores), got {jobs}")
-    return jobs
+def _bounded(convert: Callable, what: str, low: float,
+             strict: bool = False) -> Callable[[str], float]:
+    """An argparse ``type=`` for a number that must be ``>= low`` (``> low``
+    when ``strict``) and finite.  Checked at parse time so a bad value is
+    a usage error naming the bound, not a traceback from deep inside a
+    run that may already have spent minutes on other cells."""
+    op = ">" if strict else ">="
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {what} {text!r}") from None
+        if not (math.isfinite(value)
+                and (value > low if strict else value >= low)):
+            raise argparse.ArgumentTypeError(
+                f"{what} must be {op} {low:g}, got {text}")
+        return value
+
+    return parse
+
+
+_parse_scale = _bounded(float, "scale", 0, strict=True)
+#: ``--jobs``: a worker count, ``0`` meaning all cores.
+_parse_jobs = _bounded(int, "worker count", 0)
+#: Trace ring-buffer capacity in records.
+_parse_buffer = _bounded(int, "buffer capacity", 1)
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
@@ -187,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("experiment",
                      choices=sorted(EXPERIMENTS) + ["all"],
                      help="experiment id (see 'repro list')")
-    run.add_argument("--scale", type=float, default=0.25,
+    run.add_argument("--scale", type=_parse_scale, default=0.25,
                      help="workload scale vs the paper's 1000 nodes/5000 "
                           "jobs (default 0.25; 1.0 = paper scale)")
     run.add_argument("--seeds", type=_parse_seeds, default=(1,),
@@ -205,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="large-scale only: comma-separated workload-cell "
                           "node counts, overriding the --scale-derived "
                           "defaults (e.g. --sizes 2048,10000)")
-    run.add_argument("--churn-n", type=int, default=None, metavar="N",
+    run.add_argument("--churn-n", type=_bounded(int, "churn ring size", 1),
+                     default=None, metavar="N",
                      help="large-scale only: Chord ring size for the churn "
                           "cell, overriding the --scale-derived default")
     run.add_argument("--telemetry", type=Path, default=None, metavar="PATH",
@@ -219,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
              "observability report")
     trace.add_argument("experiment", choices=sorted(TELEMETRY_RUNNERS),
                        help="experiment id (telemetry-capable ones only)")
-    trace.add_argument("--scale", type=float, default=0.25,
+    trace.add_argument("--scale", type=_parse_scale, default=0.25,
                        help="workload scale (default 0.25)")
     trace.add_argument("--seeds", type=_parse_seeds, default=(1,),
                        help="comma-separated replicate seeds (default: 1)")
@@ -228,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--categories", type=str, default=None,
                        help="comma-separated trace categories to keep "
                             "(default: all; e.g. 'dht.lookup,job.match')")
-    trace.add_argument("--buffer", type=int, default=200_000,
+    trace.add_argument("--buffer", type=_parse_buffer, default=200_000,
                        help="trace ring-buffer capacity in records "
                             "(default 200000; oldest records drop first)")
 
@@ -238,12 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
              "timelines (phase breakdown, critical path, anomalies)")
     jt.add_argument("experiment", choices=sorted(JOB_TRACE_RUNNERS),
                     help="experiment id (causal-tracing capable ones)")
-    jt.add_argument("--scale", type=float, default=0.1,
+    jt.add_argument("--scale", type=_parse_scale, default=0.1,
                     help="workload scale (default 0.1 — tracing every job "
                          "is verbose; raise deliberately)")
     jt.add_argument("--seeds", type=_parse_seeds, default=(1,),
                     help="comma-separated replicate seeds (default: 1)")
-    jt.add_argument("--slowest", type=int, default=5, metavar="K",
+    jt.add_argument("--slowest", type=_bounded(int, "slowest-job count", 0),
+                    default=5, metavar="K",
                     help="render ASCII timelines for the K slowest jobs "
                          "(default 5)")
     jt.add_argument("--probe-mode", choices=("oracle", "rpc"), default="rpc",
@@ -252,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "spans appear in the trees)")
     jt.add_argument("--out", type=Path, default=None, metavar="PATH",
                     help="also export the raw span stream as JSONL to PATH")
-    jt.add_argument("--buffer", type=int, default=500_000,
+    jt.add_argument("--buffer", type=_parse_buffer, default=500_000,
                     help="trace ring-buffer capacity in records "
                          "(default 500000)")
     jt.add_argument("--jobs", type=_parse_jobs, default=None, metavar="N",

@@ -11,6 +11,37 @@ from repro.cli import (
 )
 
 
+# Each row is rejected at parse time (exit 2 with a usage message naming
+# the bound), before the experiment builds anything.  The small
+# --scale/--sizes keep a row cheap on a tree that would instead run it and
+# fail (or succeed) from inside the sweep.
+BAD_NUMERIC_ARGS = [
+    (["run", "figure2", "--jobs", "-1"], "worker count must be >= 0"),
+    (["run", "figure2", "--jobs", "two"], "bad worker count"),
+    (["run", "figure2", "--jobs", "1.5"], "bad worker count"),
+    (["run", "figure2", "--scale", "0"], "scale must be > 0"),
+    (["run", "figure2", "--scale", "-0.5"], "scale must be > 0"),
+    (["run", "figure2", "--scale", "nan"], "scale must be > 0"),
+    (["run", "figure2", "--scale", "inf"], "scale must be > 0"),
+    (["trace", "figure2", "--scale", "0"], "scale must be > 0"),
+    (["job-trace", "figure2", "--scale", "0"], "scale must be > 0"),
+    (["run", "figure2", "--scale", "0.01", "--seeds", "-1"],
+     "seeds must be >= 0"),
+    (["run", "large-scale", "--scale", "0.01", "--sizes", "50",
+      "--churn-n", "-3"], "churn ring size must be >= 1"),
+    (["run", "large-scale", "--scale", "0.01", "--sizes", "50",
+      "--churn-n", "0"], "churn ring size must be >= 1"),
+    (["trace", "figure2", "--scale", "0.01", "--buffer", "-5"],
+     "buffer capacity must be >= 1"),
+    (["trace", "figure2", "--scale", "0.01", "--buffer", "0"],
+     "buffer capacity must be >= 1"),
+    (["job-trace", "figure2", "--scale", "0.02", "--buffer", "0"],
+     "buffer capacity must be >= 1"),
+    (["job-trace", "figure2", "--scale", "0.02", "--slowest", "-2"],
+     "slowest-job count must be >= 0"),
+]
+
+
 class TestParser:
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
@@ -38,14 +69,24 @@ class TestParser:
         assert parser.parse_args(command + ["--jobs", "0"]).jobs == 0
         assert parser.parse_args(command).jobs is None
 
-    @pytest.mark.parametrize("value", ["-1", "two", "1.5"])
-    def test_bad_jobs_is_a_usage_error(self, value, capsys):
-        # Rejected at parse time (exit 2 with a usage message), before
-        # the experiment builds anything.
+    @pytest.mark.parametrize("argv, message", BAD_NUMERIC_ARGS,
+                             ids=[" ".join(argv) for argv, _ in BAD_NUMERIC_ARGS])
+    def test_bad_numeric_argument_is_a_usage_error(self, argv, message,
+                                                   capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["run", "figure2", "--jobs", value])
+            main(argv)
         assert exc.value.code == 2
-        assert "worker count" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    def test_bounded_arguments_accept_their_bounds(self):
+        parser = build_parser()
+        args = parser.parse_args(["run", "large-scale", "--scale", "1e-3",
+                                  "--churn-n", "1"])
+        assert (args.scale, args.churn_n) == (1e-3, 1)
+        args = parser.parse_args(["job-trace", "figure2", "--buffer", "1",
+                                  "--slowest", "0"])
+        assert (args.buffer, args.slowest) == (1, 0)
+        assert parser.parse_args(["trace", "figure2"]).buffer == 200_000
 
     def test_registry_covers_every_driver(self):
         # Every public run_* experiment driver is reachable from the CLI.

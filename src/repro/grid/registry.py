@@ -50,13 +50,8 @@ class NodeRegistry:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    # -- write hooks (called from the choke points listed above) ----------
-
-    def set_alive(self, idx: int, alive: bool) -> None:
-        self.alive[idx] = alive
-
-    def note_queue(self, idx: int, queue_len: int) -> None:
-        self.queue_len[idx] = queue_len
+    # -- write hook (the other columns are written in place at their
+    # choke points, listed above) -----------------------------------------
 
     def note_executed(self, idx: int) -> None:
         self.jobs_executed[idx] += 1

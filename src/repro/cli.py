@@ -65,8 +65,8 @@ def _bounded(convert: Callable, what: str, low: float,
             value = convert(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad {what} {text!r}") from None
-        if not (math.isfinite(value)
-                and (value > low if strict else value >= low)):
+        # NaN fails the comparison with low, inf the one with math.inf.
+        if not ((value > low if strict else value >= low) and value < math.inf):
             raise argparse.ArgumentTypeError(
                 f"{what} must be {op} {low:g}, got {text}")
         return value

@@ -89,11 +89,9 @@ def probe(out: str, argv: list[str]) -> None:
         with open(path, "w") as fh:
             json.dump(sorted({(c.co_filename, c.co_firstlineno) for c in seen}), fh)
 
-    class Owner:  # register_after_fork needs a weak-referenceable owner
-        pass
-
-    owner = Owner()
-    multiprocessing.util.register_after_fork(owner, lambda _: multiprocessing.util.Finalize(
+    # A forked worker writes its own file when it exits (the registry
+    # holds ``hook`` weakly; the profiler keeps it alive).
+    multiprocessing.util.register_after_fork(hook, lambda _: multiprocessing.util.Finalize(
         None, dump, args=(f"{out}.{os.getpid()}",), exitpriority=100))
     sys.argv = argv[1:] if argv[0] == "-m" else list(argv)
     sys.setprofile(hook)
@@ -123,7 +121,7 @@ def main() -> int:
                                   cwd=ROOT, env=env, stdout=subprocess.DEVNULL)
             print(f"[{kind}] {' '.join(argv)}: exit {done.returncode}", file=sys.stderr)
             for path in glob.glob(f"{out}*"):
-                reached[kind] |= {tuple(k) for k in json.load(open(path))}
+                reached[kind] |= {tuple(k) for k in json.loads(Path(path).read_text())}
     funcs = functions()
     rest = set(funcs) - reached["entry"]
     groups = [("reached by nothing", rest - reached["tests"] - reached["examples"]),

@@ -1,9 +1,12 @@
 """Chord: construction, lookup correctness, stabilization, storage, churn."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.dht.base import LookupStats, RouteResult
 from repro.dht.chord import ChordNode, ChordOverlay
 from repro.util.ids import guid_for
 
@@ -44,6 +47,55 @@ class TestOracleConstruction:
         with pytest.raises(ValueError):
             ov.build([5, 5])
 
+
+class TestNodeViews:
+    def test_owns_is_the_predecessor_interval(self):
+        ov = build_overlay(40)
+        for node in ov.live_nodes():
+            assert node.owns(node.node_id)
+            assert not node.owns(node.predecessor.node_id)
+        for i in range(100):
+            key = guid_for(f"own-{i}")
+            owners = [n for n in ov.live_nodes() if n.owns(key)]
+            assert owners == [ov.successor_of(key)]
+
+    def test_owns_everything_without_a_predecessor(self):
+        node = ChordNode(100, bits=8)
+        assert node.owns(3) and node.owns(200)
+        node.predecessor = node  # ring of one
+        assert node.owns(3) and node.owns(200)
+
+    def test_finger_indexing_matches_iteration(self):
+        ov = build_overlay(30)
+        for node in ov.live_nodes():
+            row = node.fingers
+            by_index = [row[i] for i in range(len(row))]
+            assert by_index == list(row)
+            assert list(reversed(row)) == by_index[::-1]
+
+
+class TestRouteAccounting:
+    def test_route_result_truthiness_is_success(self):
+        ov = build_overlay(5)
+        res = ov.route(guid_for("k"))
+        assert res and res.success
+        assert not RouteResult(success=False, owner=None, hops=2)
+
+    def test_lookup_stats_mean_hops(self):
+        stats = LookupStats()
+        assert math.isnan(stats.mean_hops)
+        stats.record(RouteResult(True, None, 3))
+        stats.record(RouteResult(False, None, 1))
+        assert (stats.lookups, stats.failed) == (2, 1)
+        assert stats.mean_hops == 2.0
+
+    def test_overlay_records_every_route(self):
+        ov = build_overlay(50)
+        stats = ov.lookup_stats
+        before = (stats.lookups, stats.total_hops)
+        hops = [ov.route(guid_for(f"acct-{i}")).hops for i in range(20)]
+        assert (stats.lookups, stats.total_hops) == \
+            (before[0] + 20, before[1] + sum(hops))
 
 class TestLookup:
     def test_owner_matches_oracle(self):

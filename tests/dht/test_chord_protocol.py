@@ -4,10 +4,12 @@ Everything here runs with zero oracle intervention — nodes know only what
 messages told them, and failures surface as RPC timeouts.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.dht.chord.protocol import ChordProtocolNetwork
+from repro.dht.chord.protocol import ChordProtocolNetwork, ProtocolLookupStats
 from repro.sim.failure import CrashRecoveryProcess
 from repro.sim.kernel import Simulator
 from repro.sim.network import LatencyModel, Network
@@ -107,6 +109,18 @@ class TestLookups:
         expected = live[(live.index(target) + 1) % len(live)]
         assert out == [expected]
 
+
+    def test_lookup_stats_success_rate(self):
+        assert math.isnan(ProtocolLookupStats().success_rate)
+        sim, _, chord = make_network()
+        build_ring(chord, sim, 16, tag="sr")
+        keys = [guid_for(f"sr-{i}") for i in range(20)]
+        run_lookups(chord, sim, keys)
+        stats = chord.lookup_stats
+        assert stats.started >= 20
+        assert stats.succeeded + stats.failed == len(stats.results)
+        assert stats.success_rate == 1.0
+        assert stats.mean_queries >= 1.0
 
 class TestChurnSelfRepair:
     def test_ring_heals_after_mass_failure(self):

@@ -92,6 +92,15 @@ class TestLookup:
         assert not ov.route(42).success
 
 
+    def test_size_tracks_crashes(self):
+        ov = build_overlay(20)
+        assert ov.size == 20 == len(ov.live_nodes())
+        victim = ov.live_nodes()[3]
+        ov.crash(victim.node_id)
+        ov.crash(victim.node_id)  # idempotent
+        assert ov.size == 19
+        assert victim not in ov.live_nodes()
+
 class TestStorage:
     def test_put_get(self):
         ov = build_overlay(80)

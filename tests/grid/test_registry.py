@@ -1,6 +1,7 @@
 """Columnar NodeRegistry: mirrors must track per-node state exactly."""
 
 import numpy as np
+import pytest
 
 from repro.experiments.runner import build_population, drive
 from repro.grid.system import DesktopGrid, GridConfig
@@ -49,6 +50,49 @@ class TestRegistryBasics:
         loads = grid.registry.loads([node.node_id])
         assert loads == {node.node_id: 0}
 
+
+    def test_loads_covers_several_nodes(self):
+        grid = make_small_grid(n_nodes=8)
+        reg = grid.registry
+        a, b = grid.node_list[1], grid.node_list[6]
+        reg.queue_len[6] = 4
+        assert reg.loads([b.node_id, a.node_id]) == {a.node_id: 0,
+                                                     b.node_id: 4}
+
+    def test_note_executed_bumps_one_column_entry(self):
+        grid = make_small_grid(n_nodes=8)
+        reg = grid.registry
+        reg.note_executed(2)
+        reg.note_executed(2)
+        reg.note_executed(5)
+        assert reg.execution_counts() == [0, 0, 2, 0, 0, 1, 0, 0]
+        assert all(type(c) is int for c in reg.execution_counts())
+
+
+class TestConsistencyCheck:
+    """check_consistency is the drift tripwire the tests below rely on;
+    it must name each column that disagrees with the node objects."""
+
+    @pytest.mark.parametrize("column, value, label", [
+        ("alive", False, "alive[3]"),
+        ("queue_len", 2, "queue_len[3]"),
+        ("jobs_executed", 1, "jobs_executed[3]"),
+    ])
+    def test_reports_a_drifted_column(self, column, value, label):
+        grid = make_small_grid(n_nodes=8)
+        reg = grid.registry
+        getattr(reg, column)[3] = value
+        problems = reg.check_consistency()
+        assert len(problems) == 1
+        assert problems[0].startswith(label)
+        assert grid.node_list[3].name in problems[0]
+
+    def test_reports_every_drifted_node(self):
+        grid = make_small_grid(n_nodes=8)
+        reg = grid.registry
+        reg.queue_len[[0, 7]] = 1
+        assert [p.split(" ")[0] for p in reg.check_consistency()] == \
+            ["queue_len[0]", "queue_len[7]"]
 
 class TestRegistryUnderLoad:
     def test_consistent_after_failure_free_run(self):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.grid.job import Job, JobProfile
 from repro.match import make_matchmaker
+from repro.match.base import MatchResult
 
 from tests.conftest import make_small_grid
 
@@ -102,6 +103,24 @@ class TestServerMode:
             result = grid.matchmaker.find_run_node(
                 server, job_with((0.0, 0.0, 0.0)))
             assert result.node is not server
+
+
+class TestResultStorage:
+    def test_no_overlay_means_no_pointer_storage(self):
+        # Without an overlay the grid returns results inline: storing
+        # reports failure and fetching finds nothing, both at zero hops.
+        grid = make_small_grid("centralized", n_nodes=8)
+        job = job_with((0.0, 0.0, 0.0), name="inline")
+        assert grid.matchmaker.store_result(job, "payload") == (False, 0)
+        assert grid.matchmaker.fetch_result(job) == (None, 0)
+
+    def test_match_result_truthiness_is_having_a_node(self):
+        grid = make_small_grid("centralized", n_nodes=8)
+        assert not MatchResult(None, hops=3)
+        assert MatchResult(grid.node_list[0])
+        found = grid.matchmaker.find_run_node(grid.node_list[0],
+                                              job_with((0.0, 0.0, 0.0)))
+        assert found and found.node.alive
 
 
 class TestUnbound:

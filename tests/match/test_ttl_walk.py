@@ -69,3 +69,30 @@ class TestWalk:
         job = job_with((0.0, 0.0, 0.0), name="probe")
         result = grid.matchmaker.find_run_node(busy, job)
         assert result.node is not busy
+
+
+class TestChurn:
+    def test_crashed_node_is_never_visited(self):
+        grid = make_small_grid("ttl-walk", n_nodes=32, ttl=8, seed=5)
+        mm = grid.matchmaker
+        victim = grid.node_list[4]
+        grid.crash_node(victim.node_id)
+        assert not mm.chord.nodes[victim.node_id].alive
+        for i in range(40):
+            job = job_with((0.0, 0.0, 0.0), name=f"walk-{i}")
+            owner, _ = mm.find_owner(job)
+            assert owner is not victim
+            cset = mm.search(owner, job)
+            assert victim.node_id not in cset.candidates
+
+    def test_recovered_node_rejoins_the_ring(self):
+        grid = make_small_grid("ttl-walk", n_nodes=32, seed=5)
+        mm = grid.matchmaker
+        victim = grid.node_list[4]
+        grid.crash_node(victim.node_id)
+        grid.recover_node(victim.node_id)
+        assert mm.chord.nodes[victim.node_id].alive
+        assert mm.chord.nodes[victim.node_id] in mm.chord.live_nodes()
+        # The recovered node owns its own GUID again.
+        assert mm.chord.successor_of(victim.node_id).node_id == \
+            victim.node_id

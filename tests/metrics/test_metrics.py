@@ -72,6 +72,20 @@ class TestCollector:
         assert s["load_fairness"] == pytest.approx(1.0)
 
 
+    def test_per_job_cost_arrays_cover_completed_jobs(self):
+        mc = MetricsCollector()
+        mc.on_job_done(finished_job("a", match_hops=3, owner_route_hops=4,
+                                    match_probes=2, pushes=1))
+        mc.on_job_done(finished_job("x", state=JobState.FAILED,
+                                    owner_route_hops=9))
+        mc.on_job_done(finished_job("b", match_hops=5, owner_route_hops=2,
+                                    match_probes=4))
+        assert list(mc.owner_route_hops()) == [4.0, 2.0]
+        assert list(mc.match_hops()) == [3.0, 5.0]
+        # hops + probes + pushes + owner routing, per job
+        assert list(mc.total_matchmaking_cost()) == [10.0, 11.0]
+
+
 class TestReport:
     def test_table_alignment_and_content(self):
         out = format_table(["name", "value"], [["alpha", 1.5], ["b", 22.25]],

@@ -151,6 +151,24 @@ class TestDoubleFailureInjector:
         owner.crash()
         assert inj._candidates() == []
 
+
+    @pytest.mark.parametrize("state", [JobState.COMPLETED, JobState.FAILED])
+    def test_candidates_skip_finished_jobs(self, state):
+        grid, job, owner, runner = self._grid_with_inflight_job()
+        inj = DoubleFailureInjector(grid, np.random.default_rng(1),
+                                    mean_interval=10.0, outage=5.0,
+                                    start=False)
+        job.state = state
+        assert inj._candidates() == []
+
+    def test_candidates_skip_job_owned_by_its_run_node(self):
+        grid, job, owner, runner = self._grid_with_inflight_job()
+        inj = DoubleFailureInjector(grid, np.random.default_rng(1),
+                                    mean_interval=10.0, outage=5.0,
+                                    start=False)
+        job.run_node_id = owner.node_id
+        assert inj._candidates() == []
+
     def test_strike_partitions_both_within_spread(self):
         grid, job, owner, runner = self._grid_with_inflight_job()
         inj = DoubleFailureInjector(grid, np.random.default_rng(1),
@@ -172,6 +190,15 @@ class TestDoubleFailureInjector:
         grid.sim.run(until=200.0)
         assert inj.strikes == 3
         assert inj.pairs_hit == 0
+
+    def test_stop_halts_new_strikes(self):
+        grid, job, owner, runner = self._grid_with_inflight_job()
+        inj = DoubleFailureInjector(grid, np.random.default_rng(1),
+                                    mean_interval=5.0, outage=2.0)
+        inj.stop()
+        grid.sim.run(until=200.0)
+        assert inj.strikes == 0
+        assert owner.alive and runner.alive
 
     def test_validation(self):
         grid = make_small_grid()

@@ -76,3 +76,54 @@ class TestCrashRecoveryProcess:
                                  crash_fn=lambda n: None,
                                  recover_fn=lambda n: None,
                                  mean_uptime=0.0, mean_downtime=1.0)
+
+    def test_rejects_bad_downtime(self, sim):
+        with pytest.raises(ValueError):
+            CrashRecoveryProcess(sim, np.random.default_rng(0), [1],
+                                 crash_fn=lambda n: None,
+                                 recover_fn=lambda n: None,
+                                 mean_uptime=1.0, mean_downtime=-1.0)
+
+    def test_start_false_waits_for_start(self, sim):
+        events = []
+        proc = CrashRecoveryProcess(
+            sim, np.random.default_rng(0), [1, 2],
+            crash_fn=events.append, recover_fn=lambda n: None,
+            mean_uptime=1.0, mean_downtime=1.0, start=False)
+        sim.run(until=50.0)
+        assert events == [] and proc.crashes == 0
+        proc.start()
+        sim.run(until=100.0)
+        assert set(events) == {1, 2}
+
+    def test_counters_track_callbacks(self, sim):
+        log = {"down": 0, "up": 0}
+
+        def crash(n):
+            log["down"] += 1
+
+        def recover(n):
+            log["up"] += 1
+
+        proc = CrashRecoveryProcess(sim, np.random.default_rng(4), [1, 2, 3],
+                                    crash_fn=crash, recover_fn=recover,
+                                    mean_uptime=5.0, mean_downtime=5.0)
+        sim.run(until=300.0)
+        assert (proc.crashes, proc.recoveries) == (log["down"], log["up"])
+        # Each node is down at most once at a time.
+        assert 0 <= proc.crashes - proc.recoveries <= 3
+
+    def test_same_seed_replays_exactly(self):
+        def trace(seed):
+            sim = Simulator()
+            out = []
+            CrashRecoveryProcess(
+                sim, np.random.default_rng(seed), [1, 2, 3],
+                crash_fn=lambda n: out.append(("down", n, sim.now)),
+                recover_fn=lambda n: out.append(("up", n, sim.now)),
+                mean_uptime=10.0, mean_downtime=5.0)
+            sim.run(until=200.0)
+            return out
+
+        assert trace(11) == trace(11)
+        assert trace(11) != trace(12)

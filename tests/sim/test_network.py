@@ -98,6 +98,17 @@ class TestDelivery:
         with pytest.raises(ValueError):
             net.register(FakeEndpoint(1))
 
+    def test_is_alive_follows_registration_and_liveness(self, net):
+        ep = FakeEndpoint(1)
+        assert not net.is_alive(1)  # unknown
+        net.register(ep)
+        assert net.is_alive(1) and net.endpoint(1) is ep
+        ep.alive = False
+        assert not net.is_alive(1)
+        ep.alive = True
+        net.unregister(1)
+        assert not net.is_alive(1) and net.endpoint(1) is None
+
     def test_stats_by_kind(self, net):
         a, b = FakeEndpoint(1), FakeEndpoint(2)
         net.register(a)

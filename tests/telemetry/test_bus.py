@@ -1,6 +1,9 @@
 """TelemetryBus: ring buffer, spans, category filtering, JSONL round-trip."""
 
 import json
+from pathlib import Path
+
+import numpy as np
 
 from repro.telemetry import NULL_BUS, TelemetryBus, load_jsonl
 
@@ -106,3 +109,32 @@ class TestJsonl:
         # Every line is standalone JSON.
         for line in path.read_text().splitlines():
             json.loads(line)
+
+    def test_numpy_scalars_export_as_numbers(self, tmp_path):
+        bus = TelemetryBus()
+        bus.record(np.float64(1.5), "probe", load=np.int64(3),
+                   ratio=np.float32(0.25))
+        path = tmp_path / "trace.jsonl"
+        bus.export_jsonl(path)
+        (row,) = load_jsonl(path)
+        assert (row["t"], row["load"], row["ratio"]) == (1.5, 3.0, 0.25)
+
+    def test_unserializable_detail_falls_back_to_str(self, tmp_path):
+        bus = TelemetryBus()
+        bus.record(0.0, "note", where=Path("a/b"), states={"up"})
+        path = tmp_path / "trace.jsonl"
+        bus.export_jsonl(path)
+        (row,) = load_jsonl(path)
+        assert row["where"] == str(Path("a/b"))
+        assert row["states"] == str({"up"})
+
+
+class TestViews:
+    def test_by_category_keeps_order(self):
+        bus = TelemetryBus()
+        bus.record(0.0, "a", i=0)
+        bus.record(1.0, "b", i=1)
+        bus.record(2.0, "a", i=2)
+        assert [r.detail["i"] for r in bus.by_category("a")] == [0, 2]
+        assert bus.by_category("missing") == []
+        assert bus.category_counts() == {"a": 2, "b": 1}

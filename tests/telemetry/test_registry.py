@@ -32,6 +32,29 @@ class TestCounterGauge:
             reg.histogram("x")
 
 
+    def test_membership_len_and_get(self):
+        reg = MetricsRegistry()
+        assert len(reg) == 0 and "a" not in reg
+        c = reg.counter("a")
+        reg.gauge("b")
+        reg.counter("a")  # get-or-create: no second metric
+        assert len(reg) == 2
+        assert "a" in reg and "b" in reg and "c" not in reg
+        assert reg.get("a") is c
+        assert reg.get("c") is None
+
+    def test_clear_drops_every_metric(self):
+        reg = MetricsRegistry()
+        reg.counter("a").inc()
+        reg.histogram("h").observe(2.0)
+        reg.clear()
+        assert len(reg) == 0
+        assert reg.snapshot() == {"counters": {}, "gauges": {},
+                                  "histograms": {}}
+        # A name freed by clear() may be re-registered as another type.
+        reg.gauge("a")
+        assert "a" in reg
+
 class TestHistogramBinning:
     def test_small_ints_bin_exactly(self):
         h = Histogram("hops")

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -26,3 +27,22 @@ class TestJainsFairness:
     def test_bounds(self, loads):
         f = jains_fairness(loads)
         assert 1.0 / len(loads) - 1e-9 <= f <= 1.0 + 1e-9
+
+    def test_known_value(self):
+        # (1+2+3)^2 / (3 * (1+4+9)) = 36/42
+        assert jains_fairness([1, 2, 3]) == pytest.approx(36 / 42)
+
+    def test_accepts_any_iterable(self):
+        loads = [4, 0, 4, 0]
+        expected = jains_fairness(loads)
+        assert expected == pytest.approx(0.5)
+        assert jains_fairness(np.array(loads)) == pytest.approx(expected)
+        assert jains_fairness(x for x in loads) == pytest.approx(expected)
+
+    @given(st.lists(st.floats(min_value=0.01, max_value=1e3), min_size=1,
+                    max_size=30),
+           st.floats(min_value=0.01, max_value=1e3))
+    def test_scale_invariant(self, loads, factor):
+        # Fairness depends on how load is shared, not on its magnitude.
+        assert jains_fairness([x * factor for x in loads]) == \
+            pytest.approx(jains_fairness(loads), rel=1e-9)

@@ -16,10 +16,10 @@ experiments actually need:
   or ring-buffer eviction), jobs with no terminal event, and ring
   truncation.
 
-Input is either live :class:`~repro.telemetry.bus.TraceEvent` objects
-(``build_timeline(tel.bus.records)``) or dicts loaded from a JSONL
-export (:func:`timeline_from_jsonl`) — the reconstruction only looks at
-the dict shape, so traces survive a round trip through disk.
+Input is a live bus (:func:`timeline_from_bus`, which reads the bus's
+columns in place) or the dicts of a JSONL export (:func:`build_timeline`,
+:func:`timeline_from_jsonl`); both feed one reconstruction over rows in
+the bus's column order, so traces survive a round trip through disk.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.telemetry.bus import TraceEvent, load_jsonl
+from repro.telemetry.bus import load_jsonl, record_row
 
 #: Job phases in pipeline order (the keys of every per-phase table).
 PHASE_ORDER = ("insert", "match", "probe", "dispatch", "queue", "run")
@@ -48,9 +48,10 @@ PHASE_OF = {
 LIFECYCLE = "job.lifecycle"
 
 
-@dataclass
+@dataclass(slots=True)
 class SpanNode:
-    """One reconstructed span plus its resolved children."""
+    """One reconstructed span plus its resolved children.  The detail
+    stays as the record's key and value tuples; :meth:`get` reads it."""
 
     time: float
     category: str
@@ -58,7 +59,8 @@ class SpanNode:
     span_id: int | None
     parent_id: int | None
     trace_id: int | None
-    detail: dict[str, Any]
+    keys: tuple[str, ...]
+    values: tuple[Any, ...]
     children: list["SpanNode"] = field(default_factory=list)
     #: True when ``parent_id`` was set but never found in the trace.
     orphan: bool = False
@@ -66,6 +68,13 @@ class SpanNode:
     @property
     def end(self) -> float:
         return self.time + self.duration
+
+    def get(self, key: str, default: Any = None) -> Any:
+        """One detail value, or ``default`` when the span lacks ``key``."""
+        try:
+            return self.values[self.keys.index(key)]
+        except ValueError:
+            return default
 
 
 @dataclass
@@ -82,14 +91,16 @@ class JobTrace:
     cell: int = 0
     spans: list[SpanNode] = field(default_factory=list)
     roots: list[SpanNode] = field(default_factory=list)
-    #: Point events (no span id) carrying this trace id, e.g. net.msg.
-    events: list[dict[str, Any]] = field(default_factory=list)
+    #: Stream positions of the point events (no span id) carrying this
+    #: trace id, e.g. net.msg: indices into the bus's records, or into the
+    #: rows of the JSONL export, the timeline was built from.
+    events: list[int] = field(default_factory=list)
     orphans: list[SpanNode] = field(default_factory=list)
 
     @property
     def name(self) -> str | None:
         for s in self.spans:
-            j = s.detail.get("job")
+            j = s.get("job")
             if j is not None:
                 return j
         return None
@@ -105,7 +116,7 @@ class JobTrace:
     def terminal(self) -> str | None:
         """The job's final state, or None if it never reached one."""
         life = self.lifecycle
-        return None if life is None else life.detail.get("state")
+        return None if life is None else life.get("state")
 
     @property
     def start(self) -> float:
@@ -224,20 +235,9 @@ def _percentile(sorted_values: list[float], p: float) -> float:
     return sorted_values[min(rank, len(sorted_values)) - 1]
 
 
-def _as_dict(rec: Any) -> dict[str, Any]:
-    if isinstance(rec, TraceEvent):
-        return rec.to_dict()
-    return rec
-
-
-def build_timeline(records: Iterable[Any], dropped: int = 0) -> Timeline:
-    """Reconstruct per-job span trees from a flat record stream.
-
-    ``records`` may be live :class:`TraceEvent` objects or JSONL dicts;
-    ``dropped`` is the bus's ring-buffer eviction count (taken from a
-    ``trace.overflow`` trailer automatically when present in the
-    stream).
-    """
+def _build(rows: Iterable[tuple], dropped: int) -> Timeline:
+    """Reconstruct per-job span trees from rows in
+    :data:`~repro.telemetry.bus.COLUMNS` order."""
     tl = Timeline(truncated=dropped)
     by_key: dict[tuple[int, int], JobTrace] = {}
     # Span ids are unique within a cell (one bus feeding one grid), but a
@@ -253,11 +253,10 @@ def build_timeline(records: Iterable[Any], dropped: int = 0) -> Timeline:
             tl.jobs.append(jt)
         return jt
 
-    for raw in records:
-        rec = _as_dict(raw)
-        cat = rec.get("cat")
+    for pos, (time, cat, keys, values, span_id, parent_id, duration,
+              trace_id) in enumerate(rows):
         if cat == "trace.overflow":
-            tl.truncated += int(rec.get("dropped", 0))
+            tl.truncated += int(dict(zip(keys, values)).get("dropped", 0))
             continue
         if cat == "grid.bind":
             # Cell boundary: a new independent grid started feeding the
@@ -265,22 +264,20 @@ def build_timeline(records: Iterable[Any], dropped: int = 0) -> Timeline:
             cell += 1
             tl.cells += 1
             continue
-        trace_id = rec.get("trace")
-        span_id = rec.get("span")
         if span_id is None:
-            # A point event: file it under its trace when it has one.
+            # A point event: file its position under its trace, if any.
+            # ``bus.record(..., trace=...)`` keeps the trace id in the
+            # detail, where the JSONL export's dict also finds it.
+            if trace_id is None and "trace" in keys:
+                trace_id = values[keys.index("trace")]
             if trace_id is not None:
-                job_of(trace_id).events.append(rec)
+                job_of(trace_id).events.append(pos)
             continue
         if trace_id is None:
             tl.untraced_spans += 1
             continue
-        detail = {k: v for k, v in rec.items()
-                  if k not in ("t", "cat", "span", "parent", "dur", "trace")}
-        node = SpanNode(time=rec.get("t", 0.0), category=cat,
-                        duration=rec.get("dur") or 0.0, span_id=span_id,
-                        parent_id=rec.get("parent"), trace_id=trace_id,
-                        detail=detail)
+        node = SpanNode(time, cat, duration or 0.0, span_id, parent_id,
+                        trace_id, keys, values)
         jt = job_of(trace_id)
         by_id[(jt.cell, span_id)] = (node, jt)
         pending.append((node, jt))
@@ -308,9 +305,20 @@ def build_timeline(records: Iterable[Any], dropped: int = 0) -> Timeline:
     return tl
 
 
+def build_timeline(records: Iterable[dict[str, Any]],
+                   dropped: int = 0) -> Timeline:
+    """Reconstruct per-job span trees from JSONL-shaped record dicts.
+
+    ``dropped`` is the bus's ring-buffer eviction count (a
+    ``trace.overflow`` trailer in the stream adds its own).
+    """
+    return _build(map(record_row, records), dropped)
+
+
 def timeline_from_bus(bus) -> Timeline:
-    """Reconstruct from a live :class:`TelemetryBus`."""
-    return build_timeline(bus.records, dropped=bus.dropped)
+    """Reconstruct from a live :class:`TelemetryBus`, reading its columns
+    in place."""
+    return _build(bus.rows(), bus.dropped)
 
 
 def timeline_from_jsonl(path: str | Path) -> Timeline:
@@ -339,11 +347,10 @@ def render_job_timeline(jt: JobTrace, width: int = 48) -> str:
         extra = ""
         if node.orphan:
             extra = "  (ORPHAN)"
-        who = node.detail.get("node") or node.detail.get("run_node") \
-            or node.detail.get("owner")
+        who = node.get("node") or node.get("run_node") or node.get("owner")
         if who:
             extra += f"  @{who}"
-        status = node.detail.get("status")
+        status = node.get("status")
         if status:
             extra += f"  status={status}"
         lines.append(f"  {label:<28.28} |{bar(node)}| "

@@ -1,11 +1,24 @@
 """TelemetryBus: ring buffer, spans, category filtering, JSONL round-trip."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 
-from repro.telemetry import NULL_BUS, TelemetryBus, load_jsonl
+from repro.experiments.runner import run_workload
+from repro.telemetry import NULL_BUS, Telemetry, TelemetryBus, load_jsonl
+from repro.workloads.spec import FIGURE2_SCENARIOS
+
+
+def _mixed(bus, n):
+    """``n`` rounds of an event, a one-shot span and a begin/end span, each
+    with its own detail shape, so every column carries distinct values."""
+    for i in range(n):
+        bus.record(float(i), "net.msg", kind="assign", src=i, trace=100 + i)
+        bus.span(i + 0.25, "dht.lookup", parent=i, trace=200 + i, hops=i)
+        span = bus.begin_span(i + 0.5, "job.run", job=f"j{i}")
+        bus.end_span(span, i + 0.75, node=i)
 
 
 class TestRingBuffer:
@@ -34,6 +47,48 @@ class TestRingBuffer:
         bus.clear()
         assert len(bus) == 0
         assert bus.dropped == 0
+
+    def test_eviction_keeps_newest_whole_records(self):
+        # Every column shares one maxlen, so eviction drops whole rows:
+        # the ring holds exactly the newest N records of an unbounded bus.
+        full, ring = TelemetryBus(), TelemetryBus(maxlen=7)
+        _mixed(full, 10)
+        _mixed(ring, 10)
+        assert (len(ring), ring.accepted, ring.dropped) == (7, 30, 23)
+        assert list(ring.rows()) == list(full.rows())[-7:]
+        assert ring.records == full.records[-7:]
+        assert ring.category_counts() == {"job.run": 3, "dht.lookup": 2,
+                                          "net.msg": 2}
+
+    def test_clear_empties_every_column(self):
+        bus = TelemetryBus(maxlen=4)
+        _mixed(bus, 3)
+        bus.clear()
+        assert (len(bus), bus.dropped, list(bus.rows())) == (0, 0, [])
+        bus.record(9.0, "x", a=1)
+        assert [r.to_dict() for r in bus.records] == [
+            {"t": 9.0, "cat": "x", "a": 1}]
+        assert bus.dropped == 0
+
+    def test_detail_keys_are_stored_once_per_shape(self):
+        bus = TelemetryBus()
+        for i in range(3):
+            bus.record(float(i), "net.msg", kind="a", src=i)
+        bus.record(3.0, "net.msg", src=0, kind="a")  # another key order
+        keys = [row[2] for row in bus.rows()]
+        assert keys[0] is keys[1] is keys[2]
+        assert keys[3] == ("src", "kind") and keys[3] is not keys[0]
+
+    def test_import_columns_keeps_ring_semantics(self):
+        worker, parent = TelemetryBus(), TelemetryBus(maxlen=5)
+        _mixed(worker, 3)
+        columns = [list(col) for col in zip(*worker.rows())]
+        parent.import_columns(spans=worker.span_watermark,
+                              accepted=worker.accepted)
+        parent.import_columns(columns)
+        assert list(parent.rows()) == list(worker.rows())[-5:]
+        assert (parent.accepted, parent.dropped) == (9, 4)
+        assert parent.span_watermark == worker.span_watermark
 
 
 class TestSpans:
@@ -118,6 +173,19 @@ class TestJsonl:
         bus.export_jsonl(path)
         (row,) = load_jsonl(path)
         assert (row["t"], row["load"], row["ratio"]) == (1.5, 3.0, 0.25)
+
+    def test_traced_rpc_cell_export_is_pinned(self, tmp_path):
+        """The export of a traced rpc/ack cell, byte for byte: a change to
+        the bus's storage may not change what it writes."""
+        wl = FIGURE2_SCENARIOS["clustered-light"].scaled(0.04)
+        tel = Telemetry(sample_interval=10.0)
+        run_workload(wl, "rn-tree", seed=7, telemetry=tel,
+                     grid_overrides={"probe_mode": "rpc",
+                                     "dispatch_ack": True})
+        path = tmp_path / "trace.jsonl"
+        assert tel.export_jsonl(path) == 5952
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "4547ed1821d90fff3a65d94af752530f65aa0217f55dd070d2ef5ce9132f5d52")
 
     def test_unserializable_detail_falls_back_to_str(self, tmp_path):
         bus = TelemetryBus()

@@ -6,6 +6,8 @@ reconstructs a real RPC-mode run and checks that remote-node spans
 landed under the submitting job's tree.
 """
 
+import pytest
+
 from repro.experiments.runner import run_workload
 from repro.telemetry import Telemetry, build_timeline, timeline_from_bus
 from repro.telemetry.timeline import (
@@ -66,7 +68,8 @@ class TestReconstruction:
             "job.insert", "job.match", "job.dispatch", "job.queue",
             "job.match", "job.dispatch", "job.queue", "job.run"]
         assert jt.critical_path()[-1].category == "job.run"
-        assert jt.events and jt.events[0]["cat"] == "submit"
+        # Point events are filed by stream position: "submit" is row 0.
+        assert jt.events == [0]
 
     def test_orphan_span_flagged(self):
         records = RETRY_TRACE + [
@@ -203,3 +206,39 @@ class TestEndToEnd:
         b = tl2.slowest(3)
         assert [(j.trace_id, j.makespan, j.retries) for j in a] \
             == [(j.trace_id, j.makespan, j.retries) for j in b]
+
+    @pytest.mark.parametrize("maxlen", [None, 1500])
+    def test_bus_and_jsonl_timelines_agree_structurally(self, tmp_path,
+                                                        maxlen):
+        """The live-bus reader and the JSONL reader build the same trees:
+        per (cell, trace), the spans with their parent links and child
+        order, the point-event positions and the orphans.  The bounded
+        ring makes truncation part of the comparison."""
+        wl = FIGURE2_SCENARIOS["clustered-light"].scaled(0.04)
+        tel = Telemetry(sample_interval=10.0, maxlen=maxlen)
+        run_workload(wl, "rn-tree", seed=7, telemetry=tel,
+                     grid_overrides={"probe_mode": "rpc",
+                                     "dispatch_ack": True})
+        path = tmp_path / "trace.jsonl"
+        tel.export_jsonl(path)
+        live, disk = timeline_from_bus(tel.bus), timeline_from_jsonl(path)
+
+        def span(s):
+            return (s.category, s.time, s.duration, s.parent_id, s.span_id,
+                    s.orphan, s.keys, s.values,
+                    [c.span_id for c in s.children])
+
+        def shape(tl):
+            return {(j.cell, j.trace_id): (
+                [span(s) for s in j.spans], [span(s) for s in j.roots],
+                j.events, [s.span_id for s in j.orphans])
+                for j in tl.jobs}
+
+        assert shape(live) == shape(disk)
+        assert any(j.events for j in live.jobs)
+        assert live.phase_percentiles() == disk.phase_percentiles()
+        assert live.anomalies() == disk.anomalies()
+        assert (live.cells, live.truncated, live.untraced_spans) \
+            == (disk.cells, disk.truncated, disk.untraced_spans)
+        if maxlen is not None:
+            assert live.truncated == tel.bus.dropped > 0

@@ -55,9 +55,11 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 def _bounded(convert: Callable, what: str, low: float,
              strict: bool = False) -> Callable[[str], float]:
     """An argparse ``type=`` for a number that must be ``>= low`` (``> low``
-    when ``strict``) and finite.  Checked at parse time so a bad value is
-    a usage error naming the bound, not a traceback from deep inside a
-    run that may already have spent minutes on other cells."""
+    when ``strict``) and finite — an integer at most ``sys.maxsize``, the
+    largest size a container such as ``deque(maxlen=...)`` accepts.
+    Checked at parse time so a bad value is a usage error naming the
+    bound, not a traceback from deep inside a run that may already have
+    spent minutes on other cells."""
     op = ">" if strict else ">="
 
     def parse(text: str):
@@ -69,6 +71,9 @@ def _bounded(convert: Callable, what: str, low: float,
         if not ((value > low if strict else value >= low) and value < math.inf):
             raise argparse.ArgumentTypeError(
                 f"{what} must be {op} {low:g}, got {text}")
+        if convert is int and value > sys.maxsize:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be <= {sys.maxsize}, got {text}")
         return value
 
     return parse
@@ -272,9 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
                          "spans appear in the trees)")
     jt.add_argument("--out", type=Path, default=None, metavar="PATH",
                     help="also export the raw span stream as JSONL to PATH")
-    jt.add_argument("--buffer", type=_parse_buffer, default=500_000,
-                    help="trace ring-buffer capacity in records "
-                         "(default 500000)")
+    jt.add_argument("--buffer", type=_parse_buffer, default=1_000_000,
+                    help="trace ring-buffer capacity in records (default "
+                         "1000000; the default scale records about 583000, "
+                         "and a truncated trace fails --check)")
     jt.add_argument("--jobs", type=_parse_jobs, default=None, metavar="N",
                     help="worker processes (traces merge deterministically "
                          "in submission order)")

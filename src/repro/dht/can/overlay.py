@@ -289,22 +289,27 @@ class CANOverlay(DHTOverlay):
                 upper, joiner if joiner_zone is upper else owner)
             leaf.dim, leaf.at = dim, at
             leaf.zone = leaf.owner = None
-        # Rewire neighbor sets: candidates are the old owner's neighbors
-        # plus the owner itself.
-        candidates = NeighborSet(owner.neighbors)
-        candidates.add(owner)
-        joiner.neighbors = NeighborSet()
-        for cand in candidates:
-            if cand is joiner or not cand.alive:
-                continue
-            if _are_neighbors(cand, joiner):
-                joiner.neighbors.add(cand)
+        # Rewire neighbor sets in one pass over the owner's former
+        # neighbors: each links to the joiner if it abuts the joiner's
+        # zone, and unlinks from the owner if it abuts none of the owner's
+        # zones.  The two halves of a split always share the split face,
+        # so the owner and the joiner link too: the joiner enters the
+        # owner's set first and the owner enters the joiner's set last.
+        # Set by set, that is the sequence of adds and discards of linking
+        # every candidate first and unlinking second, so the sets keep
+        # both the iteration order greedy routing breaks ties by and the
+        # same dict layout.
+        formers = list(owner.neighbors)
+        owner.neighbors.add(joiner)
+        joined = joiner.neighbors = NeighborSet()
+        for cand in formers:
+            if cand.alive and _abuts_any(cand.zones, joiner_zone):
+                joined.add(cand)
                 cand.neighbors.add(joiner)
-        # The owner may have lost abutment with some former neighbors.
-        for former in list(owner.neighbors):
-            if not _are_neighbors(owner, former):
-                owner.neighbors.discard(former)
-                former.neighbors.discard(owner)
+            if not _are_neighbors(owner, cand):
+                owner.neighbors.discard(cand)
+                cand.neighbors.discard(owner)
+        joined.add(owner)
 
     def _takeover(self, dead: CANNode) -> None:
         """Assign each of the dead node's zones to its smallest live
@@ -317,7 +322,7 @@ class CANOverlay(DHTOverlay):
             heir = None
             heir_vol = _INF
             for nb in bereaved:
-                if nb.alive and _abuts_zone(nb, zone):
+                if nb.alive and _abuts_any(nb.zones, zone):
                     vol = nb.total_volume()
                     if vol < heir_vol:
                         heir, heir_vol = nb, vol
@@ -325,7 +330,7 @@ class CANOverlay(DHTOverlay):
                 # Possible when several neighbors died together; scan for
                 # any live abutting node (structural repair).
                 for cand in self._live:
-                    if _abuts_zone(cand, zone):
+                    if _abuts_any(cand.zones, zone):
                         heir = cand
                         break
             if heir is None and self._live:
@@ -410,16 +415,29 @@ class CANOverlay(DHTOverlay):
                                  f"{sorted(geometric ^ linked)[:4]}")
 
 
-def _abuts_zone(node: CANNode, zone: Zone) -> bool:
-    for z in node.zones:
-        if zone.abuts(z):
-            return True
+def _abuts_any(zones: list[Zone], zone: Zone) -> bool:
+    """True iff one of ``zones`` shares a face with ``zone``:
+    :meth:`Zone.abuts` inlined, touching along exactly one dimension and
+    overlapping with positive measure along every other."""
+    b_lo, b_hi = zone.lo, zone.hi
+    for z in zones:
+        touching = False
+        for a_lo, a_hi, lo, hi in zip(z.lo, z.hi, b_lo, b_hi):
+            if a_hi == lo or hi == a_lo:
+                if touching:
+                    break
+                touching = True
+            elif not (a_lo < hi and lo < a_hi):
+                break
+        else:
+            if touching:
+                return True
     return False
 
 
 def _are_neighbors(a: CANNode, b: CANNode) -> bool:
     for za in a.zones:
-        if _abuts_zone(b, za):
+        if _abuts_any(b.zones, za):
             return True
     return False
 

@@ -12,8 +12,11 @@ dense node slots, ``-1`` empty) instead of a per-node list of object
 references — ~256 B of array row instead of a ~570 B pointer list per
 node at ``bits=64``.  ``node.fingers`` stays a list-like view
 (:class:`FingerRow`) so maintenance code and tests read and write
-entries exactly as before; a node constructed standalone (before any
-overlay admits it) falls back to a plain local list.
+entries exactly as before.  A node carries no finger list of its own:
+one constructed standalone (before any overlay admits it) makes a plain
+local list the first time its fingers are read or written, so the nodes
+:meth:`~repro.dht.chord.overlay.ChordOverlay.build` creates by the
+hundred thousand never allocate one.
 """
 
 from __future__ import annotations
@@ -89,16 +92,18 @@ class ChordNode(DHTNode):
         self.successors: list[ChordNode] = []
         self.predecessor: ChordNode | None = None
         self.fix_next = 0
-        self._local_fingers: list[ChordNode | None] | None = [None] * bits
+        self._local_fingers: list[ChordNode | None] | None = None
 
     # -- finger storage ----------------------------------------------------
 
     @property
     def fingers(self):
         ov = self._ov
-        if ov is None:
-            return self._local_fingers
-        return FingerRow(ov, self._dense)
+        if ov is not None:
+            return FingerRow(ov, self._dense)
+        if self._local_fingers is None:
+            self._local_fingers = [None] * self.bits
+        return self._local_fingers
 
     @fingers.setter
     def fingers(self, values) -> None:
@@ -137,7 +142,7 @@ class ChordNode(DHTNode):
             if hit is not None:
                 return hit
         else:
-            for finger in reversed(self._local_fingers):
+            for finger in reversed(self._local_fingers or ()):
                 if finger is not None and finger.alive and \
                         ring_between(finger.node_id, self.node_id, key):
                     return finger

@@ -3,9 +3,10 @@
 Two construction modes are provided, matching how the paper's simulator is
 used:
 
-* **Oracle construction** (:meth:`ChordOverlay.build`) — pointers are
-  computed directly from the sorted live-id list.  Used to set up large
-  static populations for the load-balance experiments in O(N log N).
+* **Oracle construction** (:meth:`ChordOverlay.build`) — one bulk step:
+  pointers are computed directly from the sorted live-id list.  Used to
+  set up large static populations for the load-balance experiments in
+  O(N log N).
 * **Protocol join** (:meth:`ChordOverlay.join`) — a joining node looks up
   its own id to find its successor, then periodic :meth:`stabilize_node` /
   :meth:`fix_fingers_node` rounds (driven by :class:`PeriodicTask` in churn
@@ -19,6 +20,8 @@ reachable while at least one replica survives.
 from __future__ import annotations
 
 import bisect
+import operator
+from itertools import islice
 from typing import Any, Iterable
 
 import numpy as np
@@ -81,26 +84,23 @@ class ChordOverlay(DHTOverlay):
         return self._finger_segs[dense >> self._SEG_SHIFT][
             dense & self._SEG_MASK]
 
-    def _reserve_dense(self, extra: int) -> None:
-        need = len(self._by_dense) + extra
+    def _admit(self, nodes: list[ChordNode]) -> None:
+        """Give each of ``nodes`` not yet in this overlay the next dense
+        slot, in list order, in one pass (re-admissions keep theirs)."""
+        fresh = [node for node in nodes if node._ov is not self]
+        by_dense = self._by_dense
+        need = len(by_dense) + len(fresh)
         while len(self._finger_segs) * self._SEG_ROWS < need:
             self._finger_segs.append(
                 np.full((self._SEG_ROWS, self.bits), -1, dtype=np.int32))
-
-    def _attach(self, node: ChordNode) -> int:
-        """Give ``node`` a dense slot (idempotent for re-admissions)."""
-        if node._ov is self and node._dense >= 0:
-            return node._dense
-        self._reserve_dense(1)
-        d = len(self._by_dense)
-        self._by_dense.append(node)
-        local = node._local_fingers
-        node._ov = self
-        node._dense = d
-        node._local_fingers = None
-        if local is not None and any(f is not None for f in local):
-            node.fingers = local  # preserve pre-admission entries
-        return d
+        for d, node in enumerate(fresh, len(by_dense)):
+            local = node._local_fingers
+            node._ov = self
+            node._dense = d
+            if local is not None:
+                node._local_fingers = None
+                node.fingers = local  # keep entries set before admission
+        by_dense += fresh
 
     def _closest_finger(self, dense: int, nid: int, key: int):
         """Finger half of ``closest_preceding_live``: the highest-level
@@ -135,18 +135,32 @@ class ChordOverlay(DHTOverlay):
     # ------------------------------------------------------------------
 
     def build(self, node_ids: Iterable[int]) -> list[ChordNode]:
-        """Oracle-construct a ring containing ``node_ids`` (must be fresh)."""
-        ids = list(node_ids)
-        created = []
-        self._reserve_dense(len(ids))
-        for nid in ids:
-            if nid in self.nodes:
-                raise ValueError(f"duplicate node id {nid:#x}")
-            node = ChordNode(nid, bits=self.bits)
-            self.nodes[nid] = node
-            self._attach(node)
-            created.append(node)
-        self._live_ids = sorted(n.node_id for n in self.nodes.values() if n.alive)
+        """Oracle-construct a ring containing ``node_ids`` (must be fresh).
+
+        One bulk step.  Every id is checked first (not a member yet, not
+        repeated, on the ring), so a refused batch leaves the overlay as
+        it was.  The nodes are then made without a finger list, and
+        :meth:`_rebuild_pointers` gives them dense slots in ring order and
+        writes every live node's links and finger row.
+        """
+        ids = node_ids if isinstance(node_ids, list) else list(node_ids)
+        nodes = self.nodes
+        if not nodes.keys().isdisjoint(ids):
+            clash = next(nid for nid in ids if nid in nodes)
+            raise ValueError(f"duplicate node id {clash:#x}")
+        live = self._live_ids + ids
+        live.sort()
+        if live and (live[0] < 0 or live[-1] > self._id_mask):
+            bad = live[0] if live[0] < 0 else live[-1]
+            raise ValueError(f"node id {bad:#x} is outside the "
+                             f"{self.bits}-bit ring")
+        if any(map(operator.eq, live, islice(live, 1, None))):
+            clash = next(a for a, b in zip(live, islice(live, 1, None))
+                         if a == b)
+            raise ValueError(f"duplicate node id {clash:#x}")
+        created = [ChordNode(nid, bits=self.bits) for nid in ids]
+        nodes.update(zip(ids, created))
+        self._live_ids = live
         self._rebuild_pointers()
         return created
 
@@ -160,7 +174,7 @@ class ChordOverlay(DHTOverlay):
         if node.node_id in self.nodes and self.nodes[node.node_id] is not node:
             raise ValueError(f"node id collision {node.node_id:#x}")
         self.nodes[node.node_id] = node
-        self._attach(node)
+        self._admit([node])
         node.alive = True
         if not self._live_ids:  # first node: ring of one
             node.successors = [node]
@@ -195,7 +209,7 @@ class ChordOverlay(DHTOverlay):
         if node.node_id in self.nodes and self.nodes[node.node_id] is not node:
             raise ValueError(f"node id collision {node.node_id:#x}")
         self.nodes[node.node_id] = node
-        self._attach(node)
+        self._admit([node])
         node.alive = True
         self._insert_live_id(node.node_id)
         if len(self._live_ids) <= self.r + 1:
@@ -499,17 +513,16 @@ class ChordOverlay(DHTOverlay):
 
     def _rebuild_pointers(self) -> None:
         """Oracle links (one sliding window over the sorted live ring) +
-        finger rows (bulk-vectorized) for every live node — the O(N·B)
-        half of construction/repair is one chunked ``searchsorted`` over
-        the sorted live-id array instead of N·B bisects."""
+        finger rows (:meth:`_bulk_oracle_fingers`) for every live node:
+        the shared path of :meth:`build` and :meth:`repair`."""
         live = self.live_nodes()
         if not live:
             return
-        for node in live:
-            if node._ov is not self or node._dense < 0:
-                # Tolerate members spliced straight into ``nodes`` (tests
-                # exercise repair() as the ground truth that way).
-                self._attach(node)
+        # Members made by build() or spliced straight into ``nodes`` (tests
+        # exercise repair() as the ground truth that way) get their slots
+        # here, in ring order.
+        self._admit(live)
+        self._bulk_oracle_fingers(live)
         # r successors, or every other node on a smaller ring; a ring of
         # one lists itself.
         cnt = min(self.r, len(live) - 1) or 1
@@ -520,7 +533,6 @@ class ChordOverlay(DHTOverlay):
             node.successors = live[j + 1:j + 1 + cnt]
             node.predecessor = prev
             prev = node
-        self._bulk_oracle_fingers()
 
     # ------------------------------------------------------------------
     # storage helpers
@@ -550,37 +562,46 @@ class ChordOverlay(DHTOverlay):
         if idx < len(self._live_ids) and self._live_ids[idx] == nid:
             self._live_ids.pop(idx)
 
-    def _bulk_oracle_fingers(self) -> None:
-        """Exact finger rows for every live node in one vectorized pass.
+    def _bulk_oracle_fingers(self, live: list[ChordNode]) -> None:
+        """Exact finger rows for the live nodes ``live`` (in ring order).
 
-        ``searchsorted`` over the sorted live-id array is ``bisect_left``,
-        so each entry is identical to what :meth:`_oracle_pointers`
-        computes one bisect at a time.  Chunked so the transient target
-        matrix stays ~2 MB regardless of ring size (the bench memory
-        accounting traces allocations, and build must not spike the peak).
+        Every target in ``(id, successor]`` resolves to the successor, so
+        the levels with ``2^i <= gap`` (the arc to the successor) are the
+        successor's slot, the identity :meth:`_oracle_pointers` uses.  Only
+        the levels above the gap need a ``searchsorted`` (``bisect_left``)
+        over the sorted live ids: on a ring of 100 000 random 64-bit ids
+        that is ~17 levels a node, not 64.  The rows are filled 4096 ring
+        positions at a time, so the transient arrays stay ~2 MB whatever
+        the ring size (the benches read the process's peak resident set,
+        and construction must not raise it).
         """
-        n = len(self._live_ids)
-        if n == 0:
-            return
-        ids = np.fromiter(self._live_ids, dtype=np.uint64, count=n)
-        dense_sorted = np.fromiter(
-            (self.nodes[nid]._dense for nid in self._live_ids),
-            dtype=np.int64, count=n)
-        dense32 = dense_sorted.astype(np.int32)
+        n = len(live)
+        bits = self.bits
         mask = np.uint64(self._id_mask)
         pow2 = self._pow2
+        ids = np.fromiter(self._live_ids, dtype=np.uint64, count=n)
+        dense = np.fromiter(map(operator.attrgetter("_dense"), live),
+                            dtype=np.int32, count=n)
+        nxt = np.arange(1, n + 1)
+        nxt[-1] = 0  # the last id's successor wraps to the first
+        succ = dense[nxt]
+        # uint64 arithmetic wraps mod 2**64; the mask folds sub-64-bit
+        # rings (2**64 is a multiple of 2**bits).  A ring of one has gap
+        # 0, so all its levels are searched (and all find the node).
+        gap = (ids[nxt] - ids) & mask
         segs = self._finger_segs
         shift, smask = self._SEG_SHIFT, self._SEG_MASK
-        for s in range(0, n, 4096):
-            e = min(s + 4096, n)
-            # uint64 addition wraps mod 2**64; the mask folds sub-64-bit
-            # rings (2**64 is a multiple of 2**bits, so wrap-then-mask is
-            # exactly ring_add).
-            targets = (ids[s:e, None] + pow2[None, :]) & mask
-            pos = ids.searchsorted(targets.ravel())
+        for s in range(0, n, self._SEG_ROWS):
+            e = min(s + self._SEG_ROWS, n)
+            rows = np.repeat(succ[s:e, None], bits, axis=1)
+            # Level-major, so each level's targets rise with ring position
+            # and consecutive searches land close together.
+            c, r = (pow2[:, None] > gap[None, s:e]).nonzero()
+            r += s
+            pos = ids.searchsorted((ids[r] + pow2[c]) & mask)
             pos[pos == n] = 0  # wrapped past the last id: first id owns it
-            rows = dense32[pos].reshape(e - s, self.bits)
-            dst = dense_sorted[s:e]
+            rows[r - s, c] = dense[pos]
+            dst = dense[s:e]
             seg_of = dst >> shift
             for g in np.unique(seg_of):
                 sel = seg_of == g

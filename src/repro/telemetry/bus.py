@@ -144,13 +144,15 @@ class TelemetryBus:
         return self.enabled and (self.categories is None
                                  or category in self.categories)
 
-    def record(self, time: float, category: str, **detail: Any) -> None:
-        """Append a point event (the ``grid.trace.record`` API)."""
+    def record(self, time: float, category: str, trace: int | None = None,
+               **detail: Any) -> None:
+        """Append a point event (the ``grid.trace.record`` API); ``trace``
+        is its causal trace id, kept in the trace column as for spans."""
         if not self.enabled:
             return
         if self.categories is not None and category not in self.categories:
             return
-        self._append(time, category, detail, None, None, None, None)
+        self._append(time, category, detail, None, None, None, trace)
 
     def begin_span(self, time: float, category: str,
                    parent: "Span | int | None" = None,

@@ -266,10 +266,6 @@ def _build(rows: Iterable[tuple], dropped: int) -> Timeline:
             continue
         if span_id is None:
             # A point event: file its position under its trace, if any.
-            # ``bus.record(..., trace=...)`` keeps the trace id in the
-            # detail, where the JSONL export's dict also finds it.
-            if trace_id is None and "trace" in keys:
-                trace_id = values[keys.index("trace")]
             if trace_id is not None:
                 job_of(trace_id).events.append(pos)
             continue

@@ -1,19 +1,24 @@
 """The one-pass CAN routing kernel and neighbor-local takeover vs references.
 
-``CANOverlay.route`` makes a single pass over the neighbor set per hop and
-``_takeover`` rewires the heir from the dead node's neighbor table only.
-The code they replaced — a two-pass hop rule and a rescan of every live
-node per adopted zone — is kept here as the oracle: routes must agree on
+``CANOverlay.route`` makes a single pass over the neighbor set per hop,
+``_takeover`` rewires the heir from the dead node's neighbor table only,
+and a join rewires the split owner's neighbors in one pass.  The code they
+replaced — a two-pass hop rule, a rescan of every live node per adopted
+zone, and a join that links and unlinks in two passes over a copied
+candidate set — is kept here as the oracle: routes must agree on
 ``(success, owner, hops, path)`` and on every RNG draw, and neighbor sets
 must keep the exact iteration order the full scan produced (routing ties
 are broken by that order).
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro.dht.can import CANNode, CANOverlay
 from repro.dht.can.node import NeighborSet
+from repro.dht.can.overlay import _BSPNode, _separating_split
 from repro.dht.can.space import zone_distance
 from repro.util.ids import guid_for
 
@@ -101,6 +106,44 @@ class FullScanOverlay(CANOverlay):
                 if any(abuts(cand, z) for z in heir.zones):
                     heir.neighbors.add(cand)
                     cand.neighbors.add(heir)
+
+
+class TwoPassSplitOverlay(CANOverlay):
+    """Join rewiring in two passes over a copied candidate set: link every
+    candidate that abuts the joiner first, then unlink every owner
+    neighbor that no longer abuts the owner."""
+
+    adopted_splits = 0  # joins that split a zone the owner took over
+
+    def _split_with(self, owner: CANNode, joiner: CANNode) -> None:
+        def adjacent(a, b):
+            return any(za.abuts(zb) for za in a.zones for zb in b.zones)
+
+        idx = next(i for i, z in enumerate(owner.zones)
+                   if z.contains(joiner.point))
+        self.adopted_splits += idx > 0
+        zone = owner.zones[idx]
+        dim, at = _separating_split(zone, owner.point, joiner.point, self.rng)
+        lower, upper = zone.split(dim, at)
+        mine = lower if lower.contains(joiner.point) else upper
+        owner.zones[idx] = upper if mine is lower else lower
+        joiner.zones = [mine]
+        leaf = self._bsp_leaf(joiner.point)
+        leaf.lower = _BSPNode(lower, joiner if mine is lower else owner)
+        leaf.upper = _BSPNode(upper, joiner if mine is upper else owner)
+        leaf.dim, leaf.at = dim, at
+        leaf.zone = leaf.owner = None
+        candidates = NeighborSet(owner.neighbors)
+        candidates.add(owner)
+        joiner.neighbors = NeighborSet()
+        for cand in candidates:
+            if cand is not joiner and cand.alive and adjacent(cand, joiner):
+                joiner.neighbors.add(cand)
+                cand.neighbors.add(joiner)
+        for former in list(owner.neighbors):
+            if not adjacent(owner, former):
+                owner.neighbors.discard(former)
+                former.neighbors.discard(owner)
 
 
 # ----------------------------------------------------------------------
@@ -362,6 +405,43 @@ class TestInvariantChecker:
 
     def test_empty_overlay_is_trivially_fine(self):
         CANOverlay(np.random.default_rng(0), dims=3).check_invariants()
+
+
+# ----------------------------------------------------------------------
+# join rewiring
+# ----------------------------------------------------------------------
+
+class TestJoinRewiring:
+    def test_neighbor_order_equals_two_pass_rewiring_under_churn(self):
+        # Crashes and leaves hand zones to heirs, so later joins split
+        # adopted zones of owners that hold several.
+        dims = 4
+        one = CANOverlay(np.random.default_rng(3), dims=dims)
+        two = TwoPassSplitOverlay(np.random.default_rng(3), dims=dims)
+        churn = Churner([one, two], dims, seed=5, n=200)
+        assert _neighbor_tables(one) == _neighbor_tables(two)
+        for _ in range(300):
+            churn.step()
+            assert _neighbor_tables(one) == _neighbor_tables(two)
+        one.check_invariants()
+        assert two.adopted_splits
+
+    def test_512_joins_are_pinned(self):
+        """Zones and neighbor order after 512 4-d joins, captured before
+        the one-pass rewiring: greedy routing breaks ties by that order."""
+        rng = np.random.default_rng(44)
+        ov = CANOverlay(np.random.default_rng(45), dims=4)
+        for i, point in enumerate(rng.random((512, 4))):
+            ov.join(CANNode(guid_for(f"can-pin-{i}"),
+                            tuple(float(c) for c in point)))
+        digest = hashlib.sha256()
+        for node in ov.live_nodes():
+            digest.update(repr((node.node_id,
+                                [(z.lo, z.hi) for z in node.zones],
+                                [nb.node_id for nb in node.neighbors]))
+                          .encode())
+        assert digest.hexdigest() == (
+            "07be262bd1007166ff491aa85d94175c83ba974f1aa3001dd8db017f43289522")
 
 
 def test_neighbor_set_iterates_in_insertion_order():

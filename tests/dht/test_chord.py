@@ -46,6 +46,29 @@ class TestOracleConstruction:
         ov = ChordOverlay(np.random.default_rng(0))
         with pytest.raises(ValueError):
             ov.build([5, 5])
+        # A refused batch changes nothing, even when its duplicate comes
+        # after fresh ids, and a later build admits only its own ids.
+        with pytest.raises(ValueError):
+            ov.build([5, 9, 5])
+        assert (ov.nodes, ov._by_dense, ov.size) == ({}, [], 0)
+        (node,) = ov.build([100])
+        assert list(ov.nodes) == [100] and ov._by_dense == [node]
+        assert ov.size == 1
+        with pytest.raises(ValueError):
+            ov.build([7, 100])  # clashes with a member
+        ov.crash(100)
+        with pytest.raises(ValueError):
+            ov.build([100])  # a dead member's id is taken too
+        assert (list(ov.nodes), ov._by_dense, ov.size) == ([100], [node], 0)
+
+    @pytest.mark.parametrize("bad", [-1, 1 << 8])
+    def test_ids_off_the_ring_rejected(self, bad):
+        ov = ChordOverlay(np.random.default_rng(0), bits=8)
+        with pytest.raises(ValueError, match="outside the 8-bit ring"):
+            ov.build([3, bad, 200])
+        assert (ov.nodes, ov._by_dense, ov.size) == ({}, [], 0)
+        ov.build([0, 255])  # both ends of the ring are ids
+        assert ov.size == 2
 
 
 class TestNodeViews:

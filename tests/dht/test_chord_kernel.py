@@ -11,6 +11,8 @@ on protocol-joined rings whose fingers are lazy or stale (rows whose
 offsets do not grow with level), and on rows full of dead or empty slots.
 """
 
+import bisect
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,97 @@ class TestOracleRings:
         assert (res.success, res.owner, res.hops, res.path) == \
             reference_route(ov, 123, None)
         assert ov.rng.bit_generator.state == state
+
+
+# ----------------------------------------------------------------------
+# bulk construction vs per-node pointers
+# ----------------------------------------------------------------------
+
+def reference_pointers(ov: ChordOverlay, nid: int):
+    """Finger ids, successor ids and predecessor id of live node ``nid``,
+    one bisect per level: ``r`` successors, or every other node on a
+    smaller ring (a ring of one lists itself)."""
+    ids = ov._live_ids
+    n = len(ids)
+    top = 1 << ov.bits
+    i = bisect.bisect_left(ids, nid)
+    fingers = [ids[bisect.bisect_left(ids, (nid + (1 << b)) % top) % n]
+               for b in range(ov.bits)]
+    cnt = min(ov.r, n - 1) or 1
+    return (fingers, [ids[(i + k) % n] for k in range(1, cnt + 1)],
+            ids[i - 1])
+
+
+def _pointer_ids(node: ChordNode):
+    return ([None if f is None else f.node_id for f in node.fingers],
+            [s.node_id for s in node.successors], node.predecessor.node_id)
+
+
+def _assert_oracle_exact(ov: ChordOverlay) -> int:
+    """Every live node's pointers equal the bisect reference and, on rings
+    of more than ``r + 1`` nodes, survive :meth:`_oracle_pointers` (the
+    per-node splice) rewriting them unchanged."""
+    live = ov.live_nodes()
+    for node in live:
+        got = _pointer_ids(node)
+        assert got == reference_pointers(ov, node.node_id)
+        if len(live) > ov.r + 1:
+            ov._oracle_pointers(node)
+            assert _pointer_ids(node) == got
+    return len(live)
+
+
+def _shuffled(rng, ids: list[int]) -> list[int]:
+    return [ids[int(i)] for i in rng.permutation(len(ids))]
+
+
+class TestBulkBuild:
+    @pytest.mark.parametrize("n,bits", ORACLE_RINGS)
+    def test_random_rings(self, n, bits):
+        rng = np.random.default_rng(3 * n + bits)
+        ov = ChordOverlay(np.random.default_rng(0), bits=bits)
+        ov.build(_shuffled(rng, _ids(rng, n, bits)))
+        assert _assert_oracle_exact(ov) == n
+
+    @pytest.mark.parametrize("bits,first,n", [(8, 0, 256),
+                                              (16, (1 << 16) - 700, 1500)])
+    def test_gap_one_rings(self, bits, first, n):
+        """Consecutive ids: every gap is 1, and on 16 bits the run wraps
+        past 0, so the finger arcs wrap too."""
+        rng = np.random.default_rng(bits)
+        ids = [(first + k) % (1 << bits) for k in range(n)]
+        ov = ChordOverlay(np.random.default_rng(0), bits=bits)
+        ov.build(_shuffled(rng, ids))
+        assert _assert_oracle_exact(ov) == n
+
+    @pytest.mark.parametrize("bits", [8, 64])
+    @pytest.mark.parametrize("n", [1, 2, 9])  # 9 = r + 1
+    def test_tiny_rings(self, bits, n):
+        rng = np.random.default_rng(n + bits)
+        ov = ChordOverlay(np.random.default_rng(0), bits=bits)
+        created = ov.build(_shuffled(rng, _ids(rng, n, bits)))
+        assert _assert_oracle_exact(ov) == n
+        if n == 1:
+            (node,) = created
+            assert set(node.fingers) == {node}
+
+    def test_second_batch_joins_a_churned_ring(self):
+        """A build onto a ring with dead members: each batch takes the
+        next dense slots in ring order, and every live pointer is exact."""
+        rng = np.random.default_rng(8)
+        ov = ChordOverlay(np.random.default_rng(8), bits=16)
+        ids = _ids(rng, 900, 16)
+        first = ov.build(ids[:600])
+        for victim in _sample(rng, ov._live_ids, 60):
+            ov.crash(victim)
+        batch = ids[600:]
+        second = ov.build(batch)
+        assert [node.node_id for node in second] == batch
+        def by_id(nodes):
+            return sorted(nodes, key=lambda node: node.node_id)
+
+        assert ov._by_dense == by_id(first) + by_id(second)
+        assert _assert_oracle_exact(ov) == 840
 
 
 # ----------------------------------------------------------------------

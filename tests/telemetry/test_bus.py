@@ -126,6 +126,15 @@ class TestSpans:
         assert rec.detail["hops"] == 3
         assert rec.span_id is not None
 
+    def test_point_event_trace_goes_to_the_trace_column(self):
+        bus = TelemetryBus()
+        bus.record(1.0, "net.msg", kind="assign", src=3, trace=42)
+        bus.record(2.0, "net.msg", kind="assign", src=4)
+        first, second = bus.records
+        assert (first.trace_id, first.detail) == (42, {"kind": "assign",
+                                                       "src": 3})
+        assert (second.trace_id, second.span_id) == (None, None)
+
 
 class TestFiltering:
     def test_category_filter_applies_to_spans(self):
@@ -185,7 +194,7 @@ class TestJsonl:
         path = tmp_path / "trace.jsonl"
         assert tel.export_jsonl(path) == 5952
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "4547ed1821d90fff3a65d94af752530f65aa0217f55dd070d2ef5ce9132f5d52")
+            "dfd81d030df2ee9e1d6e80e11961c20dc472d2477381a756c3399144343f08e1")
 
     def test_unserializable_detail_falls_back_to_str(self, tmp_path):
         bus = TelemetryBus()

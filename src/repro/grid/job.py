@@ -40,10 +40,8 @@ ACTIVE_STATES = frozenset(
 class JobProfile:
     """The immutable, replicated job description (§2).
 
-    ``work`` is the job's computational demand in seconds on a reference
-    node; actual execution time may scale with the run node's CPU level
-    when the grid is configured for heterogeneous speed
-    (:attr:`repro.grid.system.GridConfig.scale_runtime_by_cpu`).
+    ``work`` is the job's execution time in seconds on whichever node runs
+    it (the paper's evaluation uses nominal runtimes).
     """
 
     name: str

@@ -756,7 +756,7 @@ class GridNode:
             if tel.flight is not None:
                 tel.flight.note(self.node_id, self.grid.sim.now, "run-start",
                                 job=job.guid)
-        duration = self.execution_time(job)
+        duration = job.profile.work
         # Staging: input before, output after, over the configured link.
         # KB-scale I/O (the paper's workloads) makes this negligible; it is
         # the knob for studying I/O-heavier jobs.
@@ -770,14 +770,6 @@ class GridNode:
         else:
             self._completion = self.grid.sim.schedule(
                 duration + staging, self._finish_running, job, None)
-
-    def execution_time(self, job: Job) -> float:
-        """Wall-clock execution time of ``job`` on this node."""
-        cfg = self.grid.cfg
-        if cfg.scale_runtime_by_cpu:
-            speed = self.capability[cfg.cpu_dim] / cfg.reference_cpu_level
-            return job.profile.work / max(speed, 1e-9)
-        return job.profile.work
 
     def _finish_running(self, job: Job, failure: str | None) -> None:
         self._completion = None

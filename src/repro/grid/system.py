@@ -99,14 +99,6 @@ class GridConfig:
     # from the locally least-served client (deficit-style fair sharing).
     queue_discipline: str = "fifo"
 
-    # Execution model.  When ``scale_runtime_by_cpu`` is set, execution
-    # time is ``work / (cpu_level / reference_cpu_level)`` so more capable
-    # nodes finish sooner (heterogeneous-speed extension; the paper's base
-    # evaluation uses nominal runtimes).
-    scale_runtime_by_cpu: bool = False
-    cpu_dim: int = 0
-    reference_cpu_level: float = 10.0
-
     sandbox: SandboxPolicy = field(default_factory=SandboxPolicy)
 
     # Mitigation knobs (scenario ablations — see repro.scenarios and
@@ -165,11 +157,6 @@ class GridConfig:
             raise ValueError("match_retries must be >= 0")
         if not 0 <= self.match_retry_backoff < math.inf:
             raise ValueError("match_retry_backoff must be >= 0 and finite")
-        if not 0 < self.reference_cpu_level < math.inf:
-            raise ValueError("reference_cpu_level must be positive and finite")
-        if not 0 <= self.cpu_dim < self.spec.dims:
-            raise ValueError(f"cpu_dim {self.cpu_dim} out of range for "
-                             f"{self.spec.dims} resource dimensions")
         if self.speculative_threshold <= 0:
             raise ValueError("speculative_threshold must be positive")
         if self.replicate_threshold < 1:

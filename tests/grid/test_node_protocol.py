@@ -75,17 +75,6 @@ class TestFIFOExecution:
         grid.run_until_done(max_time=1000)
         assert job.turnaround == pytest.approx(30.0, abs=1.0)
 
-    def test_execution_time_scales_with_cpu(self):
-        cfg = GridConfig(seed=7, scale_runtime_by_cpu=True,
-                         reference_cpu_level=10.0,
-                         sandbox=SandboxPolicy(max_runtime_factor=None))
-        grid = make_small_grid(cfg=cfg)
-        node = grid.node_list[0]
-        job = Job(profile=JobProfile(name="scaled", client_id=1,
-                                     requirements=(0.0, 0.0, 0.0), work=10.0))
-        expected = 10.0 / (node.capability[0] / 10.0)
-        assert node.execution_time(job) == pytest.approx(expected)
-
 
 class TestHeartbeatProtocol:
     def make_hb_grid(self, **overrides):
@@ -268,17 +257,15 @@ class TestSandboxIntegration:
         assert "output-quota" in job.failure_reason
 
     def test_runaway_killed_at_limit(self):
-        # A slow node stretches execution past the runaway factor.
-        cfg = GridConfig(seed=7, scale_runtime_by_cpu=True,
-                         sandbox=SandboxPolicy(max_runtime_factor=2.0))
+        # A limit below the job's own work: it is killed at the limit.
+        cfg = GridConfig(seed=7, sandbox=SandboxPolicy(max_runtime_factor=0.5))
         grid = make_small_grid(cfg=cfg, n_nodes=1)
-        node = grid.node_list[0]
-        node.capability = (1.0,) + tuple(node.capability[1:])  # cpu level 1
         client = grid.client("c")
         job = submit_job(grid, client, "runaway", work=10.0)
         grid.run_until_done(max_time=1000)
         assert job.state is JobState.FAILED
         assert "runtime limit" in job.failure_reason
+        assert job.finish_time - job.start_time == pytest.approx(5.0, abs=0.5)
 
 
 class TestFairShare:

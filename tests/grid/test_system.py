@@ -34,14 +34,12 @@ class TestConstruction:
         ("client_max_attempts", 0),
         ("match_retries", -1),
         ("match_retry_backoff", -1.0),
-        ("reference_cpu_level", 0.0),
-        ("cpu_dim", 7),
         # The watchdog's liveness signal rides on heartbeats.
         ("client_resubmit_enabled", True),
     ])
     def test_bad_protocol_value_rejected_at_construction(self, field, value):
-        # Validated whatever the enabling flag: heartbeats, resubmission
-        # and runtime scaling are all off in this config.
+        # Validated whatever the enabling flag: heartbeats and
+        # resubmission are both off in this config.
         with pytest.raises(ValueError, match=field):
             GridConfig(**{field: value})
 

@@ -41,7 +41,9 @@ class JobProfile:
     """The immutable, replicated job description (§2).
 
     ``work`` is the job's execution time in seconds on whichever node runs
-    it (the paper's evaluation uses nominal runtimes).
+    it (the paper's evaluation uses nominal runtimes).  Staging its input
+    and output adds ``(input_size_kb + output_size_kb) / STAGING_KBPS``
+    seconds (:data:`repro.grid.node.STAGING_KBPS`).
     """
 
     name: str

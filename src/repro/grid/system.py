@@ -87,13 +87,6 @@ class GridConfig:
     # without an overlay (centralized) fall back to inline return.
     result_return: str = "inline"
 
-    # Input staging: jobs stage input_size_kb before execution and output
-    # after it over a link of this bandwidth.  The paper's jobs have
-    # KB-scale I/O ("modest I/O requirements"), so the default makes this
-    # cost real but negligible — raising it is the knob for studying
-    # I/O-heavier workloads.
-    staging_bandwidth_kbps: float = 1000.0
-
     # Run-node queue discipline (§5 future work: fairness between users).
     # "fifo" is the paper's base design; "fair-share" picks the next job
     # from the locally least-served client (deficit-style fair sharing).
@@ -129,8 +122,6 @@ class GridConfig:
             raise ValueError(f"bad queue_discipline {self.queue_discipline!r}")
         if self.result_return not in ("inline", "pointer"):
             raise ValueError(f"bad result_return {self.result_return!r}")
-        if self.staging_bandwidth_kbps <= 0:
-            raise ValueError("staging_bandwidth_kbps must be positive")
         if self.probe_mode not in ("oracle", "rpc"):
             raise ValueError(f"bad probe_mode {self.probe_mode!r}")
         if self.selection_policy not in POLICIES:

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.grid.job import Job, JobProfile, JobState
+from repro.grid.node import STAGING_KBPS
+from repro.grid.sandbox import SandboxPolicy
 from repro.grid.system import GridConfig
 
 from tests.conftest import make_small_grid
@@ -87,15 +89,19 @@ class TestResultPointer:
 
 class TestInputStaging:
     def test_staging_extends_service_time(self):
-        cfg = GridConfig(seed=7, staging_bandwidth_kbps=10.0)
+        # Quotas that admit the job's footprint.
+        cfg = GridConfig(seed=7, sandbox=SandboxPolicy(
+            disk_quota_kb=10_000.0, output_quota_kb=5_000.0))
         grid = make_small_grid(cfg=cfg, n_nodes=1)
         client = grid.client("c")
-        # 100 KB in + 100 KB out at 10 KB/s = 20 s of staging on a 5 s job.
+        # 5000 KB in + 5000 KB out at STAGING_KBPS = 10 s on a 5 s job.
+        assert STAGING_KBPS == 1000.0
         job = submit(grid, client, "heavy-io", work=5.0,
-                     input_size_kb=100.0, output_size_kb=100.0)
+                     input_size_kb=5_000.0, output_size_kb=5_000.0)
         grid.run_until_done(max_time=10000)
+        assert job.state is JobState.COMPLETED
         service = job.finish_time - job.start_time
-        assert service == pytest.approx(25.0, abs=1.0)
+        assert service == pytest.approx(15.0, abs=1.0)
 
     def test_default_staging_negligible(self):
         grid = make_small_grid(n_nodes=1)
@@ -103,7 +109,3 @@ class TestInputStaging:
         job = submit(grid, client, "tiny-io", work=5.0)
         grid.run_until_done(max_time=10000)
         assert job.finish_time - job.start_time == pytest.approx(5.0, abs=0.5)
-
-    def test_bad_bandwidth_rejected(self):
-        with pytest.raises(ValueError):
-            GridConfig(staging_bandwidth_kbps=0.0)

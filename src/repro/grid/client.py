@@ -97,29 +97,8 @@ class Client:
                 self._last_seen[msg.payload] = self.grid.sim.now
         elif msg.kind == "result":
             self._on_result(msg.payload)
-        elif msg.kind == "result-pointer":
-            self._on_result_pointer(msg.payload)
         else:
             raise ValueError(f"client got unexpected message kind {msg.kind!r}")
-
-    def _on_result_pointer(self, job: Job) -> None:
-        """Resolve a result GUID (§2: the result may come back as "a
-        pointer to the result (another GUID)")."""
-        if job.guid not in self.pending:
-            self.duplicate_results += 1
-            return
-        self._last_seen[job.guid] = self.grid.sim.now
-        value, hops = self.grid.matchmaker.fetch_result(job)
-        self.grid.sim.schedule(self.grid.route_delay(hops + 1),
-                               self._resolve_pointer, job, value)
-
-    def _resolve_pointer(self, job: Job, value) -> None:
-        if value is None:
-            # Every replica died before we fetched; the resubmission
-            # watchdog (or a later duplicate announcement) recovers.
-            return
-        job.result = value
-        self._on_result(job)
 
     def _on_result(self, job: Job) -> None:
         if job.guid not in self.pending:

@@ -815,33 +815,11 @@ class GridNode:
             if job.owner_id is not None:
                 self.grid.network.send("complete", self.node_id, job.owner_id,
                                        job.guid)
-            self._return_result(job)
+            # §2 step 6: the result goes straight back to the client.
+            self.grid.network.send("result", self.node_id,
+                                   job.profile.client_id, job)
         self.grid.on_queue_change(self)
         self._maybe_start()
-
-    def _return_result(self, job: Job) -> None:
-        """§2 step 6: return the result to the client — inline, or (in
-        pointer mode) stored into the matchmaker's DHT with replication and
-        announced as a GUID pointer the client resolves."""
-        if self.grid.cfg.result_return == "pointer":
-            stored, hops = self.grid.matchmaker.store_result(job, job.result)
-            if stored:
-                job.extra["result_store_hops"] = hops
-                # The store consumed overlay hops before the announcement
-                # can go out; if we die in that window the result is still
-                # in the DHT but unannounced — the client's watchdog covers
-                # that, same as any lost message.
-                self.grid.sim.schedule(self.grid.route_delay(hops),
-                                       self._announce_pointer, job)
-                return
-        self.grid.network.send("result", self.node_id,
-                               job.profile.client_id, job)
-
-    def _announce_pointer(self, job: Job) -> None:
-        if not self._alive:
-            return
-        self.grid.network.send("result-pointer", self.node_id,
-                               job.profile.client_id, job)
 
     def _fail_job(self, job: Job, reason: str) -> None:
         if job.is_terminal:

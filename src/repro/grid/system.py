@@ -80,13 +80,6 @@ class GridConfig:
     # next-ranked candidate instead of waiting for the monitor sweep.
     dispatch_ack: bool = False
 
-    # Result return path (§2): "the result can be returned to the client
-    # as either a pointer to the result (another GUID) or as the result
-    # itself".  "pointer" stores the result in the matchmaker's DHT (with
-    # replication) and sends the client a pointer to resolve; matchmakers
-    # without an overlay (centralized) fall back to inline return.
-    result_return: str = "inline"
-
     # Run-node queue discipline (§5 future work: fairness between users).
     # "fifo" is the paper's base design; "fair-share" picks the next job
     # from the locally least-served client (deficit-style fair sharing).
@@ -120,8 +113,6 @@ class GridConfig:
     def __post_init__(self) -> None:
         if self.queue_discipline not in ("fifo", "fair-share"):
             raise ValueError(f"bad queue_discipline {self.queue_discipline!r}")
-        if self.result_return not in ("inline", "pointer"):
-            raise ValueError(f"bad result_return {self.result_return!r}")
         if self.probe_mode not in ("oracle", "rpc"):
             raise ValueError(f"bad probe_mode {self.probe_mode!r}")
         if self.selection_policy not in POLICIES:

@@ -99,22 +99,6 @@ class Matchmaker(abc.ABC):
     def note_queue_change(self, node: "GridNode") -> None:
         """Called whenever a node's queue length changes (load tracking)."""
 
-    # -- DHT result storage (§2: results may be returned "as a pointer to
-    # -- the result (another GUID)"; matchmakers with an overlay implement
-    # -- these over its replicated key-value service) ------------------------
-
-    def store_result(self, job: "Job", payload) -> tuple[bool, int]:
-        """Store a job's result in the overlay; returns (stored, hops).
-
-        Default: no overlay storage — the grid falls back to returning the
-        result inline.
-        """
-        return False, 0
-
-    def fetch_result(self, job: "Job") -> tuple[object | None, int]:
-        """Fetch a result previously stored; returns (value | None, hops)."""
-        return None, 0
-
     def _require_grid(self) -> "DesktopGrid":
         if self.grid is None:
             raise RuntimeError(f"{type(self).__name__} is not bound to a grid")

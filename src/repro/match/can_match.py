@@ -25,13 +25,12 @@ from repro.dht.can import CANNode, CANOverlay
 from repro.grid.resources import dominates, satisfies
 from repro.match.base import Matchmaker
 from repro.match.select import CandidateSet
-from repro.match.storage import CANResultStorage
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.grid.node import GridNode
 
 
-class CANMatchmaker(CANResultStorage, Matchmaker):
+class CANMatchmaker(Matchmaker):
     name = "can"
 
     def __init__(self, use_virtual_dimension: bool = True,

@@ -33,7 +33,6 @@ from repro.dht.chord import ChordOverlay
 from repro.grid.resources import satisfies
 from repro.match.base import Matchmaker
 from repro.match.select import CandidateSet
-from repro.match.storage import ChordResultStorage
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.grid.node import GridNode
@@ -51,7 +50,7 @@ class _TreeNode:
         self.subtree_max: tuple[float, ...] = ()
 
 
-class RendezvousTreeMatchmaker(ChordResultStorage, Matchmaker):
+class RendezvousTreeMatchmaker(Matchmaker):
     name = "rn-tree"
 
     def __init__(self, k: int = 4, random_walk_len: int = 3):

@@ -19,10 +19,9 @@ from repro.dht.chord import ChordOverlay
 from repro.grid.resources import satisfies
 from repro.match.base import Matchmaker
 from repro.match.select import CandidateSet
-from repro.match.storage import ChordResultStorage
 
 
-class TTLWalkMatchmaker(ChordResultStorage, Matchmaker):
+class TTLWalkMatchmaker(Matchmaker):
     name = "ttl-walk"
 
     def __init__(self, ttl: int | None = None, accept_queue: int = 1):

@@ -105,15 +105,7 @@ class TestServerMode:
             assert result.node is not server
 
 
-class TestResultStorage:
-    def test_no_overlay_means_no_pointer_storage(self):
-        # Without an overlay the grid returns results inline: storing
-        # reports failure and fetching finds nothing, both at zero hops.
-        grid = make_small_grid("centralized", n_nodes=8)
-        job = job_with((0.0, 0.0, 0.0), name="inline")
-        assert grid.matchmaker.store_result(job, "payload") == (False, 0)
-        assert grid.matchmaker.fetch_result(job) == (None, 0)
-
+class TestMatchResult:
     def test_match_result_truthiness_is_having_a_node(self):
         grid = make_small_grid("centralized", n_nodes=8)
         assert not MatchResult(None, hops=3)

@@ -71,10 +71,6 @@ class LookupStats:
         if not result.success:
             self.failed += 1
 
-    @property
-    def mean_hops(self) -> float:
-        return self.total_hops / self.lookups if self.lookups else float("nan")
-
 
 class DHTOverlay(abc.ABC):
     """Abstract overlay: membership, routing, and a replicated KV service."""

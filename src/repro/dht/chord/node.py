@@ -154,14 +154,3 @@ class ChordNode(DHTNode):
                 best = succ  # nearest-first list: later entries are farther
         return best
 
-    def owns(self, key: int) -> bool:
-        """True iff ``key`` falls in ``(predecessor, self]``.
-
-        Only meaningful when the predecessor pointer is current; the overlay
-        uses interval tests on the live ring for authoritative ownership.
-        """
-        if self.predecessor is None or self.predecessor is self:
-            return True
-        if key == self.node_id:
-            return True
-        return ring_between(key, self.predecessor.node_id, self.node_id)

@@ -194,11 +194,6 @@ class ProtocolLookupStats:
     results: list[tuple[int, int | None, int]] = field(default_factory=list)
 
     @property
-    def success_rate(self) -> float:
-        done = self.succeeded + self.failed
-        return self.succeeded / done if done else float("nan")
-
-    @property
     def mean_queries(self) -> float:
         return self.total_queries / self.started if self.started else float("nan")
 

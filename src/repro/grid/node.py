@@ -68,10 +68,6 @@ class JobRecord:
         self.speculated = False
 
 
-#: Backward-compatible alias (pre-refactor name).
-OwnedJob = JobRecord
-
-
 class GridNode:
     """One desktop-grid participant (network endpoint + protocol state)."""
 

@@ -46,13 +46,6 @@ class ResourceSpec:
             if not 0 < c <= self.max_level:
                 raise ValueError(f"capability level {c} outside (0, {self.max_level}]")
 
-    def validate_requirement(self, req: Vector) -> None:
-        if len(req) != self.dims:
-            raise ValueError(f"requirement has {len(req)} dims, spec has {self.dims}")
-        for r in req:
-            if not 0 <= r <= self.max_level:
-                raise ValueError(f"requirement level {r} outside [0, {self.max_level}]")
-
     def normalize(self, vec: Vector) -> tuple[float, ...]:
         """Map levels onto [0, 1] CAN coordinates."""
         return tuple(v / self.max_level for v in vec)
@@ -82,11 +75,6 @@ def dominates(a: Vector, b: Vector, *, strict: bool = True) -> bool:
         if x > y:
             gt_any = True
     return ge_all and (gt_any or not strict)
-
-
-def constraint_count(requirement: Vector) -> int:
-    """Number of constrained axes (non-zero requirements)."""
-    return sum(1 for r in requirement if r > 0)
 
 
 @dataclass

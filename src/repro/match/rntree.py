@@ -109,9 +109,6 @@ class RendezvousTreeMatchmaker(Matchmaker):
                 self.tree[tnode.parent_id].children.append(tnode.node_id)
         self._recompute_aggregates()
 
-    def _parent_of(self, node_id: int) -> int | None:
-        return self._parent_probes(node_id)[0]
-
     def _parent_probes(self, node_id: int) -> tuple[int | None, list[int]]:
         """Clear the lowest set bit until the successor differs from us.
 

@@ -64,9 +64,6 @@ class MetricsCollector:
         """Matchmaking overlay hops per completed job (search only)."""
         return np.array([j.match_hops for j in self.completed()], dtype=float)
 
-    def owner_route_hops(self) -> np.ndarray:
-        return np.array([j.owner_route_hops for j in self.completed()], dtype=float)
-
     def total_matchmaking_cost(self) -> np.ndarray:
         """Hops + probes + pushes per completed job: total messages spent
         placing the job (the paper's "matchmaking cost")."""

@@ -35,13 +35,6 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]],
     return "\n".join(lines)
 
 
-def format_series(name: str, pairs: Sequence[tuple[Any, float]],
-                  x_label: str = "x", y_label: str = "y") -> str:
-    """Render one figure series as labelled (x, y) rows."""
-    rows = [(x, y) for x, y in pairs]
-    return format_table([x_label, y_label], rows, title=name)
-
-
 def format_barchart(title: str,
                     groups: Sequence[tuple[str, Sequence[tuple[str, float]]]],
                     width: int = 50, unit: str = "") -> str:

@@ -215,10 +215,6 @@ class Network:
     def endpoint(self, node_id: int) -> Endpoint | None:
         return self._endpoints.get(node_id)
 
-    def is_alive(self, node_id: int) -> bool:
-        ep = self._endpoints.get(node_id)
-        return ep is not None and ep.alive
-
     # -- messaging -------------------------------------------------------
 
     def hop_latency(self) -> float:

@@ -4,7 +4,6 @@ from repro.util.ids import (
     GUID_BITS,
     GUID_SPACE,
     guid_for,
-    random_guid,
     ring_add,
     ring_between,
     ring_distance,
@@ -15,7 +14,6 @@ __all__ = [
     "GUID_BITS",
     "GUID_SPACE",
     "guid_for",
-    "random_guid",
     "ring_add",
     "ring_between",
     "ring_distance",

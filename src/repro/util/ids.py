@@ -37,16 +37,6 @@ def guid_for(name: str | bytes, *, bits: int = GUID_BITS) -> int:
     return int.from_bytes(digest[: (bits + 7) // 8], "big") & ((1 << bits) - 1)
 
 
-def random_guid(rng, *, bits: int = GUID_BITS) -> int:
-    """Draw a uniform random GUID from a ``numpy.random.Generator``."""
-    # Draw two 32-bit halves to stay inside numpy's uint64-safe integers.
-    hi = int(rng.integers(0, 1 << min(32, bits)))
-    if bits <= 32:
-        return hi
-    lo = int(rng.integers(0, 1 << (bits - 32)))
-    return (hi << (bits - 32)) | lo
-
-
 def ring_add(a: int, b: int, *, bits: int = GUID_BITS) -> int:
     """``(a + b) mod 2**bits``."""
     return (a + b) & ((1 << bits) - 1)

@@ -165,10 +165,6 @@ class RngStreams:
         """A fresh :class:`KeyedUniform` at draw 0 of ``(seed, name, *key)``."""
         return KeyedUniform(self.seed, name, *key)
 
-    def fork(self, salt: int) -> "RngStreams":
-        """Derive an independent family (e.g. one per experiment replicate)."""
-        return RngStreams((self.seed * 0x9E3779B1 + salt + 1) & 0x7FFFFFFF)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RngStreams(seed={self.seed}, streams={sorted(self._streams)})"
 

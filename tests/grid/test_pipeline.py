@@ -11,7 +11,7 @@ import pytest
 from repro.experiments.figure2 import FIGURE2_SCENARIOS
 from repro.experiments.runner import run_workload
 from repro.grid.job import Job, JobProfile, JobState
-from repro.grid.node import OwnedJob
+from repro.grid.node import JobRecord
 from repro.grid.system import GridConfig
 from repro.match.select import CandidateSet
 
@@ -33,7 +33,7 @@ def adopt_job(grid, owner, name="pipeline-job", work=5.0):
     job.state = JobState.MATCHING
     grid.jobs[job.guid] = job
     client.pending[job.guid] = job  # so the result delivery completes it
-    owner.owned[job.guid] = OwnedJob(job, None, grid.sim.now)
+    owner.owned[job.guid] = JobRecord(job, None, grid.sim.now)
     return job
 
 

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from repro.grid.resources import (
     CapabilityMatrix,
     ResourceSpec,
-    constraint_count,
     dominates,
     satisfies,
 )
@@ -67,20 +66,9 @@ class TestResourceSpec:
         with pytest.raises(ValueError):
             spec.validate_capability((1.0, 5.0))  # wrong dims
 
-    def test_requirement_validation(self):
-        spec = ResourceSpec()
-        spec.validate_requirement((0.0, 0.0, 10.0))  # zero = unconstrained OK
-        with pytest.raises(ValueError):
-            spec.validate_requirement((-1.0, 0.0, 0.0))
-
     def test_normalize(self):
         spec = ResourceSpec()
         assert spec.normalize((5.0, 10.0, 1.0)) == (0.5, 1.0, 0.1)
-
-    def test_constraint_count(self):
-        assert constraint_count((0.0, 3.0, 0.0)) == 1
-        assert constraint_count((1.0, 3.0, 2.0)) == 3
-        assert constraint_count((0.0, 0.0, 0.0)) == 0
 
 
 class TestCapabilityMatrix:

@@ -63,11 +63,6 @@ class TestTreeStructure:
         # Expected O(log N); allow a wide constant.
         assert max_depth <= 4 * max(1, (len(tree)).bit_length())
 
-    def test_parent_of_agrees_with_built_tree(self, grid):
-        mm = grid.matchmaker
-        for node_id, tnode in mm.tree.items():
-            assert mm._parent_of(node_id) == tnode.parent_id
-
 
 class TestAggregation:
     def test_subtree_max_dominates_every_descendant(self, grid):

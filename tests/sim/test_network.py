@@ -98,16 +98,13 @@ class TestDelivery:
         with pytest.raises(ValueError):
             net.register(FakeEndpoint(1))
 
-    def test_is_alive_follows_registration_and_liveness(self, net):
+    def test_endpoint_follows_registration(self, net):
         ep = FakeEndpoint(1)
-        assert not net.is_alive(1)  # unknown
+        assert net.endpoint(1) is None  # unknown
         net.register(ep)
-        assert net.is_alive(1) and net.endpoint(1) is ep
-        ep.alive = False
-        assert not net.is_alive(1)
-        ep.alive = True
+        assert net.endpoint(1) is ep
         net.unregister(1)
-        assert not net.is_alive(1) and net.endpoint(1) is None
+        assert net.endpoint(1) is None
 
     def test_stats_by_kind(self, net):
         a, b = FakeEndpoint(1), FakeEndpoint(2)

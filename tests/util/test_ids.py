@@ -9,7 +9,6 @@ from repro.util.ids import (
     GUID_BITS,
     GUID_SPACE,
     guid_for,
-    random_guid,
     ring_add,
     ring_between,
     ring_between_right_inclusive,
@@ -41,13 +40,6 @@ class TestGuidFor:
         g = guid_for("x", bits=16)
         assert 0 <= g < 1 << 16
 
-    def test_random_guid_in_range(self, rng):
-        for _ in range(100):
-            assert 0 <= random_guid(rng) < GUID_SPACE
-
-    def test_random_guid_small_bits(self, rng):
-        for _ in range(100):
-            assert 0 <= random_guid(rng, bits=8) < 256
 
 
 class TestRingMath:

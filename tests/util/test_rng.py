@@ -46,15 +46,6 @@ class TestRngStreams:
         s = RngStreams(3)
         assert s["x"] is s.stream("x")
 
-    def test_fork_changes_streams(self):
-        base = RngStreams(5)
-        fork = base.fork(1)
-        assert fork.seed != base.seed
-        assert base.stream("a").uniform() != fork.stream("a").uniform()
-
-    def test_fork_deterministic(self):
-        assert RngStreams(5).fork(3).seed == RngStreams(5).fork(3).seed
-
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError):
             RngStreams(-1)

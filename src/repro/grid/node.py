@@ -93,8 +93,6 @@ class GridNode:
         self._hb_task: PeriodicTask | None = None
         self._monitor_task: PeriodicTask | None = None
 
-        # Lifetime accounting.
-        self.jobs_executed = 0
         #: Per-client CPU seconds served here (fair-share discipline state).
         self.client_service: dict[int, float] = {}
 
@@ -773,7 +771,6 @@ class GridNode:
     def _finish_running(self, job: Job, failure: str | None) -> None:
         self._completion = None
         self.running = None
-        self.jobs_executed += 1
         served = self.grid.sim.now - job.start_time
         self.grid.registry.note_executed(self._reg_idx)
         cid = job.profile.client_id

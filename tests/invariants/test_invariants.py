@@ -12,8 +12,8 @@ assert properties that must hold on **every** trajectory:
   never be counted both FAILED and COMPLETED (the double-count bug the
   heal/heartbeat race used to cause).
 * **Registry consistency** — the columnar :class:`NodeRegistry` mirrors
-  (alive / queue_len / jobs_executed) agree with a per-node
-  scan after arbitrary crash/partition/heal interleavings.
+  (alive / queue_len) agree with a per-node scan after arbitrary
+  crash/partition/heal interleavings.
 * **Span-tree well-formedness** — the telemetry timeline reconstructs
   with no orphan spans, and on a drained run every traced job carries a
   terminal event.

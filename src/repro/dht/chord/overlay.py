@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import bisect
 import operator
-from itertools import islice
 from typing import Any, Iterable
 
 import numpy as np
@@ -134,6 +133,24 @@ class ChordOverlay(DHTOverlay):
     # membership
     # ------------------------------------------------------------------
 
+    def _check_new_ids(self, ids: list[int]) -> None:
+        """Refuse ``ids`` unless each is not a member yet (a dead member's
+        id is taken too), appears once and lies on the ring.  The one
+        admission check of :meth:`build`, :meth:`join` and
+        :meth:`oracle_join` (so :meth:`recover` too); it changes nothing."""
+        nodes = self.nodes
+        if not nodes.keys().isdisjoint(ids):
+            clash = next(nid for nid in ids if nid in nodes)
+            raise ValueError(f"duplicate node id {clash:#x}")
+        if ids and (min(ids) < 0 or max(ids) > self._id_mask):
+            bad = next(nid for nid in ids if not 0 <= nid <= self._id_mask)
+            raise ValueError(f"node id {bad:#x} is outside the "
+                             f"{self.bits}-bit ring")
+        if len(ids) > 1 and len(set(ids)) < len(ids):
+            seen: set[int] = set()
+            clash = next(nid for nid in ids if nid in seen or seen.add(nid))
+            raise ValueError(f"duplicate node id {clash:#x}")
+
     def build(self, node_ids: Iterable[int]) -> list[ChordNode]:
         """Oracle-construct a ring containing ``node_ids`` (must be fresh).
 
@@ -144,23 +161,10 @@ class ChordOverlay(DHTOverlay):
         writes every live node's links and finger row.
         """
         ids = node_ids if isinstance(node_ids, list) else list(node_ids)
-        nodes = self.nodes
-        if not nodes.keys().isdisjoint(ids):
-            clash = next(nid for nid in ids if nid in nodes)
-            raise ValueError(f"duplicate node id {clash:#x}")
-        live = self._live_ids + ids
-        live.sort()
-        if live and (live[0] < 0 or live[-1] > self._id_mask):
-            bad = live[0] if live[0] < 0 else live[-1]
-            raise ValueError(f"node id {bad:#x} is outside the "
-                             f"{self.bits}-bit ring")
-        if any(map(operator.eq, live, islice(live, 1, None))):
-            clash = next(a for a, b in zip(live, islice(live, 1, None))
-                         if a == b)
-            raise ValueError(f"duplicate node id {clash:#x}")
+        self._check_new_ids(ids)
         created = [ChordNode(nid, bits=self.bits) for nid in ids]
-        nodes.update(zip(ids, created))
-        self._live_ids = live
+        self.nodes.update(zip(ids, created))
+        self._live_ids = sorted(self._live_ids + ids)
         self._rebuild_pointers()
         return created
 
@@ -171,8 +175,7 @@ class ChordOverlay(DHTOverlay):
         ``fix_fingers_node`` rounds sharpen them.  Other nodes learn about
         the joiner through stabilization, per the Chord paper.
         """
-        if node.node_id in self.nodes and self.nodes[node.node_id] is not node:
-            raise ValueError(f"node id collision {node.node_id:#x}")
+        self._check_new_ids([node.node_id])
         self.nodes[node.node_id] = node
         self._admit([node])
         node.alive = True
@@ -206,8 +209,7 @@ class ChordOverlay(DHTOverlay):
         target falls in the newly claimed arc are re-pointed at it.  Cost
         O((r + B) log N) instead of repair's O(N·B).
         """
-        if node.node_id in self.nodes and self.nodes[node.node_id] is not node:
-            raise ValueError(f"node id collision {node.node_id:#x}")
+        self._check_new_ids([node.node_id])
         self.nodes[node.node_id] = node
         self._admit([node])
         node.alive = True
@@ -321,15 +323,23 @@ class ChordOverlay(DHTOverlay):
         self._remove_live_id(node_id)
 
     def recover(self, node_id: int, *, oracle: bool = True) -> ChordNode:
-        """Bring a crashed node back with fresh (empty) state and rejoin."""
-        if self.nodes[node_id].alive:
+        """Bring a crashed node back with fresh (empty) state and rejoin.
+
+        The id is admitted like a new one; if that refuses it, the crashed
+        member stays as it was."""
+        dead = self.nodes[node_id]
+        if dead.alive:
             raise ValueError(f"node {node_id:#x} is not crashed")
         del self.nodes[node_id]
         node = ChordNode(node_id, bits=self.bits)
-        if oracle:
-            self.oracle_join(node)
-        else:
-            self.join(node)
+        try:
+            if oracle:
+                self.oracle_join(node)
+            else:
+                self.join(node)
+        except ValueError:
+            self.nodes[node_id] = dead
+            raise
         return node
 
     def leave(self, node_id: int) -> None:

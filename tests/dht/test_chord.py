@@ -59,14 +59,39 @@ class TestOracleConstruction:
             ov.build([100])  # a dead member's id is taken too
         assert (list(ov.nodes), ov._by_dense, ov.size) == ([100], [node], 0)
 
+    @pytest.mark.parametrize("entry", ["build", "join", "oracle_join",
+                                       "recover"])
     @pytest.mark.parametrize("bad", [-1, 1 << 8])
-    def test_ids_off_the_ring_rejected(self, bad):
+    def test_ids_off_the_ring_rejected(self, bad, entry):
+        """Every admission path refuses an id off the ring and leaves the
+        overlay as it was."""
         ov = ChordOverlay(np.random.default_rng(0), bits=8)
-        with pytest.raises(ValueError, match="outside the 8-bit ring"):
-            ov.build([3, bad, 200])
-        assert (ov.nodes, ov._by_dense, ov.size) == ({}, [], 0)
+        if entry == "build":
+            with pytest.raises(ValueError, match="outside the 8-bit ring"):
+                ov.build([3, bad, 200])
+            assert (ov.nodes, ov._by_dense, ov.size) == ({}, [], 0)
         ov.build([0, 255])  # both ends of the ring are ids
         assert ov.size == 2
+        if entry == "recover":
+            # A crashed member holding the id, as an unchecked join once
+            # admitted: recover must not bring it back.
+            ghost = ChordNode(bad, bits=8)
+            ghost.alive = False
+            ov.nodes[bad] = ghost
+
+        def state():
+            return (dict(ov.nodes), list(ov._by_dense), list(ov._live_ids),
+                    ov.size)
+
+        before = state()
+        with pytest.raises(ValueError, match="outside the 8-bit ring"):
+            if entry == "build":
+                ov.build([bad])
+            elif entry == "recover":
+                ov.recover(bad)
+            else:
+                getattr(ov, entry)(ChordNode(bad, bits=8))
+        assert state() == before
 
 
 class TestNodeViews:

@@ -146,7 +146,7 @@ class ChordOverlay(DHTOverlay):
             bad = next(nid for nid in ids if not 0 <= nid <= self._id_mask)
             raise ValueError(f"node id {bad:#x} is outside the "
                              f"{self.bits}-bit ring")
-        if len(ids) > 1 and len(set(ids)) < len(ids):
+        if len(set(ids)) < len(ids):
             seen: set[int] = set()
             clash = next(nid for nid in ids if nid in seen or seen.add(nid))
             raise ValueError(f"duplicate node id {clash:#x}")

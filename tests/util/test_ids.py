@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.util.ids import (
-    GUID_BITS,
     GUID_SPACE,
     guid_for,
     ring_add,

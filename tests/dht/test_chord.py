@@ -59,8 +59,24 @@ class TestOracleConstruction:
             ov.build([100])  # a dead member's id is taken too
         assert (list(ov.nodes), ov._by_dense, ov.size) == ([100], [node], 0)
 
+    @pytest.mark.parametrize("dead", [False, True])
+    @pytest.mark.parametrize("entry", ["join", "oracle_join"])
+    def test_member_id_rejected_by_single_joins(self, entry, dead):
+        """A joiner whose id a member (live or crashed) holds is refused
+        and leaves the overlay as it was."""
+        ov = ChordOverlay(np.random.default_rng(0), bits=8)
+        ov.build([10, 90, 170])
+        if dead:
+            ov.crash(90)
+        before = (dict(ov.nodes), list(ov._by_dense), list(ov._live_ids),
+                  ov.size)
+        with pytest.raises(ValueError, match="duplicate node id 0x5a"):
+            getattr(ov, entry)(ChordNode(90, bits=8))
+        assert (ov.nodes, ov._by_dense, ov._live_ids, ov.size) == before
+        assert ov.nodes[90].alive is not dead
+
     @pytest.mark.parametrize("entry", ["build", "join", "oracle_join",
-                                       "recover"])
+                                       "recover", "protocol_recover"])
     @pytest.mark.parametrize("bad", [-1, 1 << 8])
     def test_ids_off_the_ring_rejected(self, bad, entry):
         """Every admission path refuses an id off the ring and leaves the
@@ -72,7 +88,7 @@ class TestOracleConstruction:
             assert (ov.nodes, ov._by_dense, ov.size) == ({}, [], 0)
         ov.build([0, 255])  # both ends of the ring are ids
         assert ov.size == 2
-        if entry == "recover":
+        if entry in ("recover", "protocol_recover"):
             # A crashed member holding the id, as an unchecked join once
             # admitted: recover must not bring it back.
             ghost = ChordNode(bad, bits=8)
@@ -89,6 +105,8 @@ class TestOracleConstruction:
                 ov.build([bad])
             elif entry == "recover":
                 ov.recover(bad)
+            elif entry == "protocol_recover":
+                ov.recover(bad, oracle=False)
             else:
                 getattr(ov, entry)(ChordNode(bad, bits=8))
         assert state() == before

@@ -48,6 +48,22 @@ class TestSubmission:
         assert client.duplicate_results == 1
         assert len(client.completed) == 1
 
+    def test_result_pointer_is_an_unexpected_kind(self):
+        # Results come back inline only; a pointer message is refused
+        # loudly and leaves the job pending.
+        grid = make_small_grid()
+        client = grid.client("c")
+        job = make_job(client, "t4")
+        grid.submit_at(0.0, client, job)
+        grid.run(until=0.5)
+        from repro.sim.network import Message
+
+        with pytest.raises(ValueError, match="result-pointer"):
+            client.handle_message(Message("result-pointer", src=1,
+                                          dst=client.node_id, payload=job))
+        assert job.guid in client.pending
+        assert client.completed == []
+
     def test_metrics_record_once_per_job(self):
         grid = make_small_grid()
         client = grid.client("c")

@@ -267,6 +267,20 @@ class TestSandboxIntegration:
         assert "runtime limit" in job.failure_reason
         assert job.finish_time - job.start_time == pytest.approx(5.0, abs=0.5)
 
+    def test_kill_frees_the_node_for_the_next_job(self):
+        # The killed job's node starts its next queued job at the kill,
+        # not at the end of the killed job's work.
+        cfg = GridConfig(seed=7, sandbox=SandboxPolicy(max_runtime_factor=0.5))
+        grid = make_small_grid(cfg=cfg, n_nodes=1)
+        client = grid.client("c")
+        first = submit_job(grid, client, "runaway-1", work=10.0)
+        second = submit_job(grid, client, "runaway-2", work=4.0)
+        grid.run_until_done(max_time=1000)
+        assert [first.state, second.state] == [JobState.FAILED] * 2
+        assert second.start_time - first.start_time == pytest.approx(5.0)
+        (node,) = grid.node_list
+        assert node.client_service[client.node_id] == pytest.approx(7.0)
+
 
 class TestFairShare:
     def test_fair_share_interleaves_clients(self):

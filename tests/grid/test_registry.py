@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.experiments.runner import build_population, drive
-from repro.grid.job import JobState
+from repro.grid.job import Job, JobProfile, JobState
+from repro.grid.sandbox import SandboxPolicy
 from repro.grid.system import DesktopGrid, GridConfig
 from repro.match import make_matchmaker
 from repro.sim.failure import CrashRecoveryProcess
@@ -115,6 +116,24 @@ class TestRegistryUnderLoad:
         assert np.array_equal(
             reg.live_queue_lens(),
             np.array([n.queue_len for n in grid.node_list if n.alive]))
+
+    def test_executed_column_counts_runs_not_refusals(self):
+        # A run the sandbox kills was executed; a job refused at
+        # admission never ran.
+        cfg = GridConfig(seed=7, sandbox=SandboxPolicy(max_runtime_factor=0.5))
+        grid = make_small_grid(cfg=cfg, n_nodes=1)
+        client = grid.client("c")
+        jobs = [Job(profile=JobProfile(
+            name=name, client_id=client.node_id,
+            requirements=(0.0, 0.0, 0.0), work=5.0, input_size_kb=kb))
+            for name, kb in (("killed", 0.0), ("refused", 4096.0))]
+        for job in jobs:
+            grid.submit_at(0.0, client, job)
+        grid.run_until_done(max_time=1000)
+        assert [j.state for j in jobs] == [JobState.FAILED] * 2
+        assert [j.executions for j in jobs] == [1, 0]
+        assert grid.registry.execution_counts() == [1]
+        assert grid.registry.check_consistency() == []
 
     def test_consistent_after_churny_run(self):
         """The drift tripwire: every liveness/queue mutation path (crash,

@@ -40,3 +40,35 @@ class TestInputStaging:
         job = submit(grid, client, "tiny-io", work=5.0)
         grid.run_until_done(max_time=10000)
         assert job.finish_time - job.start_time == pytest.approx(5.0, abs=0.5)
+
+    @pytest.mark.parametrize("in_kb, out_kb", [
+        (1_000.0, 0.0), (0.0, 1_000.0), (2_500.0, 2_500.0)])
+    def test_served_time_is_work_plus_staging(self, in_kb, out_kb):
+        # Input is staged before the run and output after it; the node
+        # is busy for both, at STAGING_KBPS whichever way the data goes.
+        cfg = GridConfig(seed=7, sandbox=SandboxPolicy(
+            disk_quota_kb=5_000.0, output_quota_kb=5_000.0))
+        grid = make_small_grid(cfg=cfg, n_nodes=1)
+        client = grid.client("c")
+        job = submit(grid, client, "io", work=5.0,
+                     input_size_kb=in_kb, output_size_kb=out_kb)
+        grid.run_until_done(max_time=10000)
+        assert job.state is JobState.COMPLETED
+        (node,) = grid.node_list
+        assert node.client_service[client.node_id] == pytest.approx(
+            5.0 + (in_kb + out_kb) / STAGING_KBPS)
+
+    def test_input_over_quota_is_refused_before_staging(self):
+        # Admission checks the input against the disk quota before any
+        # of it is staged: the job never runs and the node serves nothing.
+        grid = make_small_grid(n_nodes=1)
+        client = grid.client("c")
+        quota = grid.cfg.sandbox.disk_quota_kb
+        job = submit(grid, client, "bulky", work=5.0,
+                     input_size_kb=2 * quota)
+        grid.run_until_done(max_time=10000)
+        assert job.state is JobState.FAILED
+        assert "disk-quota" in job.failure_reason
+        assert job.executions == 0
+        (node,) = grid.node_list
+        assert node.client_service == {}

@@ -36,10 +36,24 @@ class TestConstruction:
         ("match_retry_backoff", -1.0),
         # The watchdog's liveness signal rides on heartbeats.
         ("client_resubmit_enabled", True),
+        ("heartbeat_miss_limit", float("inf")),
+        ("match_retry_backoff", float("inf")),
+        ("speculative_threshold", 0.0),
+        ("replicate_threshold", 0),
+        ("admission_quota", 0),
     ])
     def test_bad_protocol_value_rejected_at_construction(self, field, value):
-        # Validated whatever the enabling flag: heartbeats and
-        # resubmission are both off in this config.
+        # Validated whatever the enabling flag: heartbeats, resubmission,
+        # speculation, replication and admission are all off in this config.
+        with pytest.raises(ValueError, match=field):
+            GridConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("probe_mode", "push"),
+        ("selection_policy", "no-such-policy"),
+        ("probe_fanout", 0),
+    ])
+    def test_bad_selection_value_rejected_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
             GridConfig(**{field: value})
 

@@ -4,11 +4,16 @@ An aggregation tree embedded in a Chord ring:
 
 * **Parent rule** — a node's parent is the Chord successor of its GUID
   with the lowest set bit cleared (re-clearing while the lookup returns
-  the node itself).  Each node computes its parent from purely local
-  information plus one DHT lookup, the construction is fully
-  decentralized, and with uniformly distributed GUIDs the expected height
-  is O(log N); the root is ``successor(0)``.  (Parent ids strictly
-  decrease toward 0, so the structure is always a tree.)
+  the node itself).  That walk has a closed form: every truncation that
+  keeps the highest bit where the node differs from its live
+  predecessor ``pred`` lies in ``(pred, node]`` and resolves to the node
+  itself, so the walk stops exactly at ``node >> k << k`` with
+  ``k = (node ^ pred).bit_length()`` (:func:`parent_point`).  Each node
+  computes its parent from purely local information plus one DHT
+  lookup, the construction is fully decentralized, and with uniformly
+  distributed GUIDs the expected height is O(log N); the root is
+  ``successor(0)``, the smallest live id.  (Parent ids strictly decrease
+  toward 0, so the structure is always a tree.)
 * **Hierarchical aggregation** — every node reports its subtree's
   per-resource *maximum available capability* to its parent, so any node
   knows, per child subtree, the best capability reachable below it.
@@ -38,6 +43,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.grid.node import GridNode
 
 
+def parent_point(node_id: int, pred_id: int | None) -> int | None:
+    """The ring point whose successor is ``node_id``'s parent, given its
+    live predecessor; ``None`` for the root (alone, or the smallest id)."""
+    if pred_id is None or pred_id >= node_id:
+        return None
+    k = (node_id ^ pred_id).bit_length()
+    return node_id >> k << k
+
+
 class _TreeNode:
     """Per-node RN-Tree state (parent, children, aggregated maxima)."""
 
@@ -63,14 +77,15 @@ class RendezvousTreeMatchmaker(Matchmaker):
         self.random_walk_len = random_walk_len
         self.chord: ChordOverlay | None = None
         self.tree: dict[int, _TreeNode] = {}
-        #: Parent-probe index for incremental maintenance: every ring
-        #: point a node evaluated while computing its parent, as a sorted
-        #: ``(point, node_id)`` list plus a per-node reverse map.  A churn
-        #: event at id W only changes ``successor(t)`` for ``t`` in the
-        #: arc ``(pred(W), W]``, so only nodes probing that arc can
-        #: re-parent — everyone else's tree edge is provably unchanged.
+        #: Parent-probe index for incremental maintenance: each non-root
+        #: member's :func:`parent_point`, as a sorted ``(point, node_id)``
+        #: list plus a per-node reverse map.  A churn event at id W only
+        #: changes ``successor(t)`` for ``t`` in the arc ``(pred(W), W]``,
+        #: so only nodes whose point lies in that arc, and on a join
+        #: W's successor (whose own arc shrinks), can re-parent — everyone
+        #: else's tree edge is provably unchanged.
         self._probe_list: list[tuple[int, int]] = []
-        self._probe_points: dict[int, tuple[int, ...]] = {}
+        self._probe_points: dict[int, int] = {}
         #: node_id -> sorted live finger ids, for the random-walk step.
         #: Fingers only change on churn (crash_repair / recover / join),
         #: so the per-search set-build + sort is paid once per node per
@@ -91,42 +106,26 @@ class RendezvousTreeMatchmaker(Matchmaker):
         self._rebuild_tree()
 
     def _rebuild_tree(self) -> None:
-        self.tree = {}
+        self.tree = tree = {}
         self._probe_list = []
         self._probe_points = {}
         self._walk_choices.clear()
-        for node in self.chord.live_nodes():
-            self.tree[node.node_id] = _TreeNode(node.node_id)
-        for tnode in self.tree.values():
-            parent_id, probes = self._parent_probes(tnode.node_id)
-            tnode.parent_id = parent_id
-            self._probe_points[tnode.node_id] = tuple(probes)
-            for pt in probes:
-                self._probe_list.append((pt, tnode.node_id))
+        live = [node.node_id for node in self.chord.live_nodes()]
+        # Ascending ids: a parent (a smaller id) is already in the tree,
+        # and children are appended in ascending order.
+        pred_id = live[-1] if live else None
+        for nid in live:
+            tnode = tree[nid] = _TreeNode(nid)
+            point = parent_point(nid, pred_id)
+            pred_id = nid
+            if point is None:
+                continue
+            tnode.parent_id = self.chord.successor_of(point).node_id
+            tree[tnode.parent_id].children.append(nid)
+            self._probe_points[nid] = point
+            self._probe_list.append((point, nid))
         self._probe_list.sort()
-        for tnode in self.tree.values():
-            if tnode.parent_id is not None:
-                self.tree[tnode.parent_id].children.append(tnode.node_id)
         self._recompute_aggregates()
-
-    def _parent_probes(self, node_id: int) -> tuple[int | None, list[int]]:
-        """Clear the lowest set bit until the successor differs from us.
-
-        Also returns every ring point probed along the way — the probe
-        index needs them to find nodes whose parent a churn event at a
-        given arc can change.
-        """
-        x = node_id
-        probes: list[int] = []
-        while x:
-            x &= x - 1  # clear lowest set bit
-            probes.append(x)
-            succ = self.chord.successor_of(x)
-            if succ is not None and succ.node_id != node_id:
-                return succ.node_id, probes
-            if x == 0:
-                break
-        return None, probes  # we are successor(0): the root
 
     def _recompute_aggregates(self) -> None:
         """Bottom-up max aggregation.  Parent ids are strictly smaller than
@@ -147,43 +146,33 @@ class RendezvousTreeMatchmaker(Matchmaker):
     # incremental maintenance (dirty-path aggregation, probe index)
     # ------------------------------------------------------------------
 
-    def _forget_probes(self, node_id: int) -> None:
-        for pt in self._probe_points.pop(node_id, ()):
-            idx = bisect.bisect_left(self._probe_list, (pt, node_id))
-            if idx < len(self._probe_list) \
-                    and self._probe_list[idx] == (pt, node_id):
-                self._probe_list.pop(idx)
-
-    def _record_probes(self, node_id: int, probes: list[int]) -> None:
-        self._probe_points[node_id] = tuple(probes)
-        for pt in probes:
-            bisect.insort(self._probe_list, (pt, node_id))
-
-    def _probers_in_arc(self, a: int, b: int) -> list[int]:
-        """Node ids holding a parent probe in the ring interval ``(a, b]``."""
+    def _move_probe(self, node_id: int, point: int | None) -> None:
+        """Re-file ``node_id``'s parent point (``None``: drop it)."""
         pl = self._probe_list
+        old = self._probe_points.pop(node_id, None)
+        if old is not None:
+            del pl[bisect.bisect_left(pl, (old, node_id))]
+        if point is not None:
+            self._probe_points[node_id] = point
+            bisect.insort(pl, (point, node_id))
 
-        def points_in(lo_pt: int, hi_pt: int) -> list[int]:
-            lo = bisect.bisect_right(pl, lo_pt, key=lambda t: t[0])
-            hi = bisect.bisect_right(pl, hi_pt, key=lambda t: t[0])
-            return [nid for _, nid in pl[lo:hi]]
-
-        if a < b:
-            out = points_in(a, b)
-        else:  # wrapped arc
-            top = (1 << self.chord.bits) - 1
-            out = points_in(a, top) + points_in(-1, b)
-        return sorted(set(out))
+    def _probers_in_arc(self, a: int, b: int) -> set[int]:
+        """Node ids whose parent point lies in the ring interval ``(a, b]``."""
+        pl = self._probe_list
+        lo = bisect.bisect_left(pl, (a + 1,))
+        hi = bisect.bisect_left(pl, (b + 1,))
+        span = pl[lo:hi] if a < b else pl[lo:] + pl[:hi]  # wrapped arc
+        return {nid for _, nid in span}
 
     def _reassign_parent(self, node_id: int, dirty: set[int]) -> None:
         """Recompute one node's parent edge, updating the probe index and
         children lists; both old and new parents join the dirty set."""
-        tnode = self.tree.get(node_id)
-        if tnode is None:
-            return
-        new_parent, probes = self._parent_probes(node_id)
-        self._forget_probes(node_id)
-        self._record_probes(node_id, probes)
+        tnode = self.tree[node_id]
+        point = parent_point(node_id, self.chord.predecessor_id(node_id))
+        if point != self._probe_points.get(node_id):
+            self._move_probe(node_id, point)
+        new_parent = None if point is None \
+            else self.chord.successor_of(point).node_id
         if new_parent == tnode.parent_id:
             return
         old_parent = tnode.parent_id
@@ -226,7 +215,7 @@ class RendezvousTreeMatchmaker(Matchmaker):
         dead = self.tree.pop(dead_id, None)
         if dead is None:
             return
-        self._forget_probes(dead_id)
+        self._move_probe(dead_id, None)
         dirty: set[int] = set()
         if dead.parent_id is not None and dead.parent_id in self.tree:
             self.tree[dead.parent_id].children.remove(dead_id)
@@ -237,22 +226,21 @@ class RendezvousTreeMatchmaker(Matchmaker):
         self._propagate(dirty)
 
     def _tree_insert(self, new_id: int) -> None:
-        """Splice a joined node in (chord membership already updated)."""
+        """Splice a joined node in (chord membership already updated).
+
+        Besides the nodes whose point the joiner now owns, its successor
+        is re-evaluated: its own arc shrank, so its walk may now stop at
+        the joiner."""
         if new_id in self.tree:
             return
-        tnode = _TreeNode(new_id)
-        self.tree[new_id] = tnode
-        parent_id, probes = self._parent_probes(new_id)
-        tnode.parent_id = parent_id
-        self._record_probes(new_id, probes)
+        self.tree[new_id] = _TreeNode(new_id)
         dirty: set[int] = {new_id}
-        if parent_id is not None:
-            bisect.insort(self.tree[parent_id].children, new_id)
-            dirty.add(parent_id)
-        pred = self.chord.predecessor_id(new_id)
-        for nid in self._probers_in_arc(pred, new_id):
-            if nid != new_id:
-                self._reassign_parent(nid, dirty)
+        movers = self._probers_in_arc(self.chord.predecessor_id(new_id),
+                                      new_id)
+        movers.add(self.chord.successor_of(new_id + 1).node_id)
+        movers.add(new_id)
+        for nid in movers:
+            self._reassign_parent(nid, dirty)
         self._propagate(dirty)
 
     # ------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Incremental RN-Tree maintenance must equal a from-scratch rebuild.
 
 ``on_crash``/``on_join`` splice single nodes in and out of the tree using
-the parent-probe index and dirty-path aggregation.  After *any* churn
-sequence, the (parents, children, subtree maxima) triple must be
-bit-identical to throwing the tree away and rebuilding it from the
-current Chord membership — that is the whole correctness contract of the
-fast path.
+the parent-probe index (one parent point per non-root member) and
+dirty-path aggregation.  After *any* churn sequence, the (parents,
+children, subtree maxima) triple must be bit-identical to throwing the
+tree away and rebuilding it from the current Chord membership — that is
+the whole correctness contract of the fast path.
 """
 
 import numpy as np
@@ -14,6 +14,7 @@ import pytest
 from repro.experiments.runner import build_population
 from repro.grid.system import DesktopGrid, GridConfig
 from repro.match import make_matchmaker
+from repro.match.rntree import parent_point
 from repro.workloads.spec import WorkloadConfig
 
 
@@ -69,12 +70,18 @@ class TestIncrementalEquivalence:
                 victim = live[int(rng.integers(0, len(live)))]
                 down.append(victim)
                 grid.crash_node(victim)
-        # The sorted probe list and the per-node reverse map must describe
-        # the same set, and cover exactly the live tree members.
-        flattened = sorted((pt, nid) for nid, pts in mm._probe_points.items()
-                           for pt in pts)
-        assert flattened == mm._probe_list
-        assert set(mm._probe_points) == set(mm.tree)
+            # After every event, the sorted probe list and the per-node
+            # reverse map both hold exactly every live member's recomputed
+            # parent point, and nothing for the root.
+            chord = mm.chord
+            points = {nid: parent_point(nid, chord.predecessor_id(nid))
+                      for nid in mm.tree}
+            expected = sorted((pt, nid) for nid, pt in points.items()
+                              if pt is not None)
+            assert mm._probe_list == expected
+            assert mm._probe_points == {nid: pt for pt, nid in expected}
+            assert set(mm.tree) == {n.node_id for n in chord.live_nodes()}
+            assert list(points.values()).count(None) == 1
 
     def test_deep_churn_then_total_recovery(self):
         grid = _make_grid(40, 5)

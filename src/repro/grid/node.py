@@ -755,18 +755,19 @@ class GridNode:
             if tel.flight is not None:
                 tel.flight.note(self.node_id, self.grid.sim.now, "run-start",
                                 job=job.guid)
-        duration = job.profile.work
-        # Staging: input before, output after (see STAGING_KBPS).
-        staging = (job.profile.input_size_kb + job.profile.output_size_kb) \
+        # Served time: the work, plus staging of input before and output
+        # after (see STAGING_KBPS).
+        served = job.profile.work + (
+            job.profile.input_size_kb + job.profile.output_size_kb) \
             / STAGING_KBPS
         limit = self.grid.cfg.sandbox.runtime_limit(job.profile)
-        if limit is not None and duration > limit:
+        if limit is not None and served > limit:
             # Runaway guard: the job will be killed at the limit.
             self._completion = self.grid.sim.schedule(
                 limit, self._finish_running, job, "sandbox: runtime limit exceeded")
         else:
             self._completion = self.grid.sim.schedule(
-                duration + staging, self._finish_running, job, None)
+                served, self._finish_running, job, None)
 
     def _finish_running(self, job: Job, failure: str | None) -> None:
         self._completion = None

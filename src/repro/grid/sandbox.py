@@ -43,8 +43,9 @@ class SandboxPolicy:
         executing the job until the job terminates", so the node checks the
         produced size before accepting termination.
     max_runtime_factor:
-        Runaway-job guard: a job is killed if its execution exceeds
-        ``max_runtime_factor *`` its declared work (None disables).
+        Runaway-job guard: a job is killed at ``max_runtime_factor *``
+        its declared work if its served time (work plus staging) would
+        exceed that (None disables).
     """
 
     allow_network: bool = False

@@ -267,6 +267,18 @@ class TestSandboxIntegration:
         assert "runtime limit" in job.failure_reason
         assert job.finish_time - job.start_time == pytest.approx(5.0, abs=0.5)
 
+    def test_staging_counts_toward_the_limit(self):
+        # Factor 1.0: the work alone fits the limit exactly, and the
+        # default 8 ms of staging pushes the served time past it.
+        cfg = GridConfig(seed=7, sandbox=SandboxPolicy(max_runtime_factor=1.0))
+        grid = make_small_grid(cfg=cfg, n_nodes=1)
+        client = grid.client("c")
+        job = submit_job(grid, client, "staged", work=10.0)
+        grid.run_until_done(max_time=1000)
+        assert job.state is JobState.FAILED
+        assert "runtime limit" in job.failure_reason
+        assert job.finish_time - job.start_time == pytest.approx(10.0, abs=0.5)
+
     def test_kill_frees_the_node_for_the_next_job(self):
         # The killed job's node starts its next queued job at the kill,
         # not at the end of the killed job's work.

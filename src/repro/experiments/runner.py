@@ -48,14 +48,6 @@ class RunOutcome:
     finished: bool = True
     events: int = 0
 
-    @property
-    def wait_mean(self) -> float:
-        return self.summary["wait_mean"]
-
-    @property
-    def wait_std(self) -> float:
-        return self.summary["wait_std"]
-
 
 def build_population(workload: WorkloadConfig, seed: int
                      ) -> tuple[list[tuple[str, tuple[float, ...]]], list[ScheduledJob]]:

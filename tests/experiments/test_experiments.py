@@ -7,7 +7,6 @@ of the qualitative claims at tiny scale (fast enough for CI).
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.experiments import (
@@ -39,17 +38,7 @@ class TestRunner:
         assert outcome.finished
         assert outcome.summary["completed"] == wl.n_jobs
         assert outcome.wait_times.size == wl.n_jobs
-        assert not math.isnan(outcome.wait_mean)
-
-    def test_outcome_wait_properties_read_the_summary(self):
-        from repro.experiments.runner import RunOutcome
-
-        wl = FIGURE2_SCENARIOS["clustered-light"].scaled(SCALE)
-        outcome = RunOutcome("centralized", wl, 1,
-                             {"wait_mean": 4.0, "wait_std": 1.5},
-                             wait_times=np.array([2.5, 5.5]),
-                             match_costs=np.zeros(2))
-        assert (outcome.wait_mean, outcome.wait_std) == (4.0, 1.5)
+        assert not math.isnan(outcome.summary["wait_mean"])
 
     def test_same_seed_reproduces(self):
         wl = FIGURE2_SCENARIOS["mixed-light"].scaled(SCALE)
